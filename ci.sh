@@ -56,6 +56,12 @@ echo "== fuzz smoke: 10s of FuzzServeVsOracle"
 # the mutator.
 go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
 
+echo "== fuzz smoke: 10s of FuzzCompiledVsInterp"
+# Differential fuzzing of the compiled backend's lowering against the
+# interpreter — sequential and at D=1,2,4, traces and error text
+# byte-identical; the corpus under internal/exec/testdata/fuzz seeds it.
+go test ./internal/exec -run '^$' -fuzz=FuzzCompiledVsInterp -fuzztime=10s
+
 echo "== ingest gate: loopback UDP serve + pcap replay byte-identity"
 # The network-facing front end, end to end: a race-enabled serve over a
 # real loopback UDP socket (TestServeUDPLoopback) plus the checked-in
@@ -66,6 +72,13 @@ go test -race -count=1 -run 'TestServeUDPLoopback|TestFlowsCaptureFixture' .
 
 echo "== go test -race ./... $*"
 go test -race "$@" ./...
+
+echo "== benchmark module tests: (cd perfbench && go test .)"
+# perfbench/ is its own Go module, so ./... above does not reach it. Its
+# tests pin the benchmark's contract: the oracle check catches a diverged
+# trace, the per-layer ledger sums back to the wall time, and every
+# workload reports its end-to-end metrics.
+(cd perfbench && go test .)
 
 # The two wall-clock gates below measure real throughput on a shared
 # machine, where ambient load can swing any single measurement well past

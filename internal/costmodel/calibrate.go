@@ -309,15 +309,36 @@ func Calibrate(base *Arch, samples []Sample) (*Calibration, error) {
 			xtx[i][j] = xtx[j][i] // mirror for the solver
 		}
 	}
-	theta, ok := solveSym(xtx, xty)
-	if !ok {
-		return nil, fmt.Errorf("costmodel: %w: singular calibration system", errs.ErrBadCalibration)
-	}
-	for i := range theta {
-		if theta[i] <= 0 {
-			// A negative fitted cost is an artifact of collinear columns;
-			// fall back to the prior for that class.
-			theta[i] = prior
+	// A negative fitted cost is an artifact of collinear columns: pin that
+	// class at the prior and re-solve for the others, so they absorb what
+	// it no longer explains. Each pass pins at least one more class or
+	// ends, so this takes at most NumClasses re-solves.
+	var theta [NumClasses]float64
+	var pinned [NumClasses]bool
+	for {
+		a, b := xtx, xty
+		for i, pin := range pinned {
+			if !pin {
+				continue
+			}
+			for j := range b {
+				b[j] -= a[j][i] * prior
+				a[j][i], a[i][j] = 0, 0
+			}
+			a[i][i], b[i] = 1, prior
+		}
+		var ok bool
+		if theta, ok = solveSym(a, b); !ok {
+			return nil, fmt.Errorf("costmodel: %w: singular calibration system", errs.ErrBadCalibration)
+		}
+		more := false
+		for i := range theta {
+			if theta[i] <= 0 && !pinned[i] {
+				pinned[i], more = true, true
+			}
+		}
+		if !more {
+			break
 		}
 	}
 

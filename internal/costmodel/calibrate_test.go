@@ -142,6 +142,33 @@ func TestCalibrateNoisy(t *testing.T) {
 	}
 }
 
+// TestCalibrateRefitsAfterPinningNegativeClass: with fewer stage equations
+// than observed classes, a class can fit negative (stage 3 carries more ALU
+// and localmem weight than stage 1 yet runs faster, because stage 1's
+// pkt_rx also pays the per-packet copy). Pinning such a class at the prior
+// must re-fit the other classes around it, not leave them fitted for its
+// negative cost: the fit must still beat the mean. The samples are a
+// 3-stage probe of the adaptive test program at D=3.
+func TestCalibrateRefitsAfterPinningNegativeClass(t *testing.T) {
+	samples := []Sample{
+		{Counts: OpCounts{ClassALU: 16, ClassPktIO: 15, ClassPure: 6, ClassTx: 5}, NsPerIter: 1105.776, Iters: 500},
+		{Counts: OpCounts{ClassALU: 6, ClassLookup: 40, ClassTx: 10}, NsPerIter: 696.714, Iters: 500},
+		{Counts: OpCounts{ClassALU: 18, ClassLocalMem: 6, ClassPktIO: 11, ClassPure: 5, ClassTx: 5}, NsPerIter: 691.342, Iters: 500},
+	}
+	cal, err := Calibrate(Default(), samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal.R2 <= 0 {
+		t.Errorf("R² = %.3f: the fit is worse than the mean\n%s", cal.R2, cal)
+	}
+	for _, cf := range cal.Classes {
+		if cf.FittedNs <= 0 {
+			t.Errorf("class %v fitted to %.3f ns, want positive", cf.Class, cf.FittedNs)
+		}
+	}
+}
+
 // TestCalibrateUnobservedClassesPinned: classes the workload never touches
 // must stay exactly at the prior (multiplier 1 after normalization against
 // a uniform fit), not drift to arbitrary values.

@@ -16,11 +16,32 @@
 //   - every pure op, terminator shape, and intrinsic is specialized into its
 //     own closure; the straight-line body of a basic block executes as one
 //     contiguous closure sweep per dispatch, with the step budget charged
-//     per block rather than per instruction;
-//   - registers that provably hold one compile-time constant on every read
-//     (sole writer is an OpConst that dominates all reads) are preloaded
-//     into a frame template copied at iteration start, and their defining
-//     instructions drop out of the hot body entirely.
+//     per block rather than per instruction.
+//
+// Four lowering rules then cut the closures a packet dispatches:
+//
+//   - Constant folding. A register whose single writer is an OpConst, or a
+//     pure op (copy, unary, binary or comparison; not div/mod) whose
+//     operands are all such constants read after their writers, holds a
+//     value known at lowering time. When every read of it is dominated by
+//     its writer, the value is written into the frame once at compile time
+//     and the writer drops out of the hot body.
+//   - Narrow frame reset. The interpreter zeroes its frame per iteration;
+//     here only the registers some path can read before writing them are
+//     zeroed (a forward "definitely written" dataflow over the CFG, phi
+//     moves on edges included). Every other register is either a preloaded
+//     constant or written on every path before its first read, so a value
+//     left over from the previous iteration is never observed.
+//   - Compare-and-branch fusion. An OpBr whose condition is computed by the
+//     comparison just before it, with no other reader, becomes one
+//     terminator closure that compares and branches.
+//   - Immediate operands. Binary ops, fused branches and pkt_byte/pkt_word
+//     with a preloaded operand capture the constant instead of its slot.
+//
+// None of these rules touches step accounting: a block's cost still counts
+// every IR instruction (folded and fused ones included), and its exact
+// sequence still executes every instruction, so the MaxSteps limit fires on
+// the same step with the same message as the interpreter.
 //
 // The backend preserves the interpreter's semantics exactly — the MaxSteps
 // bound (bulk per-block accounting switches to a per-instruction exact path
@@ -34,7 +55,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/bitset"
 	"repro/internal/errs"
 	"repro/internal/graph"
 	"repro/internal/interp"
@@ -58,15 +81,17 @@ type instrFn func(m *Runner) int
 // per-instruction sequence for the MaxSteps boundary, and the terminator.
 type block struct {
 	// body is the straight-line sweep the fast path runs: every non-phi,
-	// non-terminator instruction except preloaded constants.
+	// non-terminator instruction except preloaded constants and a
+	// comparison fused into term.
 	body []instrFn
-	// seq is the same region including preloaded constants, executed one
-	// instruction at a time (with exact step counting) once the step
-	// budget comes within one block of MaxSteps.
+	// seq is every instruction of the same region, executed one at a time
+	// (with exact step counting) once the step budget comes within one
+	// block of MaxSteps.
 	seq []instrFn
 	// term transfers control: it performs the taken edge's phi moves and
 	// returns the successor block (or pcRet / pcErr). For a block with no
-	// terminator it is the interpreter's "fell off the end" error.
+	// terminator it is the interpreter's "fell off the end" error. A fused
+	// term evaluates the comparison it absorbed itself.
 	term instrFn
 	// cost is the steps the fast path charges for one pass through the
 	// block: len(seq) plus termCost. termCost is 1 for a real terminator
@@ -101,12 +126,13 @@ type Runner struct {
 	name      string
 
 	// regs is the dense iteration frame. It is allocated once at compile
-	// time and captured directly by the compiled closures, so register
-	// access is a single slice index. template is its iteration-start
-	// image: zero everywhere except preloaded constant registers.
-	regs     []int64
-	template []int64
-	phiBuf   []int64
+	// time, with the preloaded constants written in, and captured directly
+	// by the compiled closures, so register access is a single slice
+	// index. reset lists the registers zeroed at iteration start: those
+	// some path can read before writing them.
+	regs   []int64
+	reset  []int
+	phiBuf []int64
 
 	// localArrs lists the distinct local arrays the program touches;
 	// localBind holds their per-iteration storage, re-resolved from the
@@ -194,7 +220,10 @@ func (m *Runner) RunIteration(ctx *interp.IterCtx, recv []int64) ([]int64, error
 // word copies into memory the token already owns.
 func (m *Runner) RunIterationInto(ctx *interp.IterCtx, recv, dst []int64) ([]int64, error) {
 	m.ctx, m.recv, m.sent, m.err, m.sendDst = ctx, recv, nil, nil, dst
-	copy(m.regs, m.template)
+	regs := m.regs
+	for _, r := range m.reset {
+		regs[r] = 0
+	}
 	for i, a := range m.localArrs {
 		m.localBind[i] = ctx.Local(a.ID, a.Size)
 	}
@@ -334,7 +363,7 @@ type edge struct {
 	to   int   // target block index
 }
 
-func (e *edge) trivial() bool { return e.err == nil && len(e.srcs) == 0 }
+func (e edge) trivial() bool { return e.err == nil && len(e.srcs) == 0 }
 
 // take performs the edge's phi moves (reads before writes, via the shared
 // scratch buffer) and returns the target block index.
@@ -353,25 +382,37 @@ func (m *Runner) take(e *edge) int {
 	return e.to
 }
 
-// compiler carries the layout computed in the first pass.
+// compiler carries the layout and analysis results computed before the
+// closures are emitted.
 type compiler struct {
 	f       *ir.Func
-	nPhis   []int  // block ID -> number of leading phis
-	termIdx []int  // block ID -> index of the first control-transfer instruction, or -1
-	preload []bool // register -> holds a preloaded constant from the template
-	binds   map[*ir.Array]int
+	nPhis   []int // block ID -> number of leading phis
+	termIdx []int // block ID -> index of the first control-transfer instruction, or -1
+
+	// known marks registers whose single writer computes a value fixed at
+	// lowering time, held in val; preload marks the subset every read of
+	// which is ordered after that writer, so the frame can hold the value
+	// from compile time on.
+	known   []bool
+	preload []bool
+	val     []int64
+	// readers counts each register's live reads: instruction operands up
+	// to and including the terminator, and phi arguments.
+	readers []int
+
+	binds map[*ir.Array]int
 }
 
 // compile lowers the program into the block-fused closure form. The first
 // pass lays out the blocks — leading phi counts and the first control
 // transfer, past which the interpreter never executes — then the constant
-// analysis fills the frame template, and the second pass emits the
-// specialized closures with all targets resolved.
+// analysis fills the frame, the reset analysis picks the registers zeroed
+// per iteration, and the second pass emits the specialized closures with
+// all targets resolved.
 func (m *Runner) compile() {
 	f := m.Prog.Func
 	m.name = f.Name
 	m.regs = make([]int64, f.NumRegs)
-	m.template = make([]int64, f.NumRegs)
 
 	c := &compiler{
 		f:       f,
@@ -405,7 +446,15 @@ func (m *Runner) compile() {
 		}
 	}
 	m.phiBuf = make([]int64, maxPhi)
-	c.analyzePreload(m.template)
+	c.readers = make([]int, f.NumRegs)
+	c.forEachRead(func(r, _, _ int) { c.readers[r]++ })
+	c.analyzePreload()
+	for r, ok := range c.preload {
+		if ok {
+			m.regs[r] = c.val[r]
+		}
+	}
+	m.reset = c.analyzeReset()
 
 	m.blocks = make([]block, len(f.Blocks))
 	for i, b := range f.Blocks {
@@ -414,19 +463,24 @@ func (m *Runner) compile() {
 			end = len(b.Instrs)
 		}
 		bl := &m.blocks[i]
+		fused := c.fusedCompare(i)
 		for idx := c.nPhis[i]; idx < end; idx++ {
 			in := b.Instrs[idx]
 			fn := m.compileInstr(c, b, in)
 			bl.seq = append(bl.seq, fn)
-			if in.Op == ir.OpConst && in.Dst != ir.NoReg && c.preload[in.Dst] {
-				continue // the template already holds the value
+			if idx == fused || c.preloaded(in.Dst) {
+				continue // the fused terminator or the frame does its work
 			}
 			bl.body = append(bl.body, fn)
 		}
-		if ti := c.termIdx[i]; ti >= 0 {
+		switch ti := c.termIdx[i]; {
+		case fused >= 0:
+			bl.term = m.compileFusedBr(c, b.Instrs[fused], b.Instrs[ti])
+			bl.termCost = 1
+		case ti >= 0:
 			bl.term = m.compileTerm(c, b, b.Instrs[ti])
 			bl.termCost = 1
-		} else {
+		default:
 			// The interpreter raises this after the body, without
 			// consuming a step — hence termCost 0.
 			err := fmt.Errorf("%s: b%d fell off the end without a terminator", f.Name, b.ID)
@@ -444,41 +498,167 @@ func (m *Runner) compile() {
 	m.localBind = make([][]int64, len(m.localArrs))
 }
 
-// analyzePreload finds registers that provably hold one compile-time
-// constant whenever read: the register's only live writer is an OpConst,
-// and every live read executes after that write — later in the same block,
-// or in a block the writer's block dominates (a phi argument reads on its
-// edge, i.e. at the end of the predecessor). Those registers are preloaded
-// into the frame template and their defining OpConst is dropped from the
-// hot body. Step accounting is unaffected: the instruction still counts in
-// the block's cost, and the exact path still executes it (rewriting the
-// same value). Reads the analysis cannot order — including entry-block phis
-// fed by the virtual predecessor -1, which the interpreter services from
-// the zeroed frame — disqualify the register.
-func (c *compiler) analyzePreload(template []int64) {
+// preloaded reports whether reg is a preloaded constant register.
+func (c *compiler) preloaded(reg int) bool {
+	return reg >= 0 && reg < len(c.preload) && c.preload[reg]
+}
+
+// imm returns reg's value when it is preloaded: every read of it sees that
+// constant, so a closure may capture the value instead of the slot.
+func (c *compiler) imm(reg int) (int64, bool) {
+	if c.preloaded(reg) {
+		return c.val[reg], true
+	}
+	return 0, false
+}
+
+// foldable reports whether an instruction with this op and operand count
+// can be evaluated at lowering time from constant operands. Div and mod
+// are left to run time.
+func foldable(op ir.Op, nArgs int) bool {
+	switch {
+	case op == ir.OpConst:
+		return true
+	case op == ir.OpCopy || op.IsUnary():
+		return nArgs >= 1
+	case op.IsBinary():
+		return nArgs >= 2 && op != ir.OpDiv && op != ir.OpMod
+	}
+	return false
+}
+
+// fold evaluates a foldable op on constant operands with the interpreter's
+// total semantics (masked shifts, 0/1 comparisons).
+func fold(in *ir.Instr, val []int64) int64 {
+	var a, b int64
+	if len(in.Args) > 0 {
+		a = val[in.Args[0]]
+	}
+	if len(in.Args) > 1 {
+		b = val[in.Args[1]]
+	}
+	switch in.Op {
+	case ir.OpConst:
+		return in.Imm
+	case ir.OpCopy:
+		return a
+	case ir.OpNeg:
+		return -a
+	case ir.OpNot:
+		return b2i(a == 0)
+	case ir.OpBNot:
+		return ^a
+	case ir.OpAdd:
+		return a + b
+	case ir.OpSub:
+		return a - b
+	case ir.OpMul:
+		return a * b
+	case ir.OpAnd:
+		return a & b
+	case ir.OpOr:
+		return a | b
+	case ir.OpXor:
+		return a ^ b
+	case ir.OpShl:
+		return a << (uint64(b) & 63)
+	case ir.OpShr:
+		return a >> (uint64(b) & 63)
+	case ir.OpEq:
+		return b2i(a == b)
+	case ir.OpNe:
+		return b2i(a != b)
+	case ir.OpLt:
+		return b2i(a < b)
+	case ir.OpLe:
+		return b2i(a <= b)
+	case ir.OpGt:
+		return b2i(a > b)
+	case ir.OpGe:
+		return b2i(a >= b)
+	}
+	panic("exec: fold on a non-foldable op") // unreachable: guarded by foldable
+}
+
+// afterEnd is the instruction index of a phi argument's read: it happens
+// on the edge, after everything in the predecessor block.
+const afterEnd = math.MaxInt
+
+// forEachRead calls fn for every live register read: each operand of the
+// instructions from the leading phis up to and including the terminator
+// (branch conditions and switch values are reads), at (block, index), and
+// each phi argument at (predecessor, afterEnd). Out-of-range registers are
+// skipped.
+func (c *compiler) forEachRead(fn func(reg, blk, idx int)) {
+	n := c.f.NumRegs
+	for bi, b := range c.f.Blocks {
+		for idx := 0; idx < c.nPhis[bi]; idx++ {
+			in := b.Instrs[idx]
+			for j, p := range in.PhiPreds {
+				if j < len(in.Args) && in.Args[j] >= 0 && in.Args[j] < n {
+					fn(in.Args[j], p, afterEnd)
+				}
+			}
+		}
+		end := c.termIdx[bi] + 1
+		if end == 0 {
+			end = len(b.Instrs)
+		}
+		for idx := c.nPhis[bi]; idx < end; idx++ {
+			for _, r := range b.Instrs[idx].Args {
+				if r >= 0 && r < n {
+					fn(r, bi, idx)
+				}
+			}
+		}
+	}
+}
+
+// analyzePreload finds the registers that hold one lowering-time constant
+// whenever read. A register is known when its only live writer is an
+// OpConst, or a foldable op whose operands are all known and are read after
+// their own writers — later in the same block, or in a block the writer's
+// block dominates — iterated to a fixpoint. A known register is preloaded
+// when every live read of it is ordered after its writer the same way (a
+// phi argument reads on its edge, i.e. at the end of the predecessor).
+// Preloaded values are written into the frame once at compile time and
+// their writers dropped from the hot body; a known register with some
+// unordered read keeps its writer, lowered to a constant store.
+//
+// Step accounting is unaffected: the writer still counts in the block's
+// cost, and the exact path still executes it (rewriting the same value).
+// Reads the analysis cannot order — including entry-block phis fed by the
+// virtual predecessor -1, which the interpreter services from the zeroed
+// frame — disqualify the register.
+func (c *compiler) analyzePreload() {
 	f := c.f
-	n := len(template)
+	n := f.NumRegs
+	c.known = make([]bool, n)
+	c.preload = make([]bool, n)
+	c.val = make([]int64, n)
 	if n == 0 {
 		return
 	}
 	wBlk := make([]int, n)
 	wIdx := make([]int, n)
-	wImm := make([]int64, n)
-	wConst := make([]bool, n)
+	wIn := make([]*ir.Instr, n) // the sole writer, when it is foldable
 	wCount := make([]int, n)
 
-	record := func(reg, blk, idx int, isConst bool, imm int64) {
+	record := func(reg, blk, idx int, in *ir.Instr) {
 		if reg < 0 || reg >= n {
 			return
 		}
 		wCount[reg]++
 		wBlk[reg], wIdx[reg] = blk, idx
-		wConst[reg] = isConst
-		wImm[reg] = imm
+		wIn[reg] = nil
+		if in != nil && foldable(in.Op, len(in.Args)) {
+			wIn[reg] = in
+		}
 	}
+	candidates := false
 	for bi, b := range f.Blocks {
 		for idx := 0; idx < c.nPhis[bi]; idx++ {
-			record(b.Instrs[idx].Dst, bi, idx, false, 0)
+			record(b.Instrs[idx].Dst, bi, idx, nil)
 		}
 		end := c.termIdx[bi] // terminators never write registers
 		if end < 0 {
@@ -486,24 +666,15 @@ func (c *compiler) analyzePreload(template []int64) {
 		}
 		for idx := c.nPhis[bi]; idx < end; idx++ {
 			in := b.Instrs[idx]
-			record(in.Dst, bi, idx, in.Op == ir.OpConst, in.Imm)
+			record(in.Dst, bi, idx, in)
 			for _, d := range in.Dsts {
-				record(d, bi, idx, false, 0)
+				record(d, bi, idx, nil)
 			}
+			candidates = candidates || in.Op == ir.OpConst
 		}
 	}
-
-	pre := make([]bool, n)
-	any := false
-	for r := 0; r < n; r++ {
-		if wCount[r] == 1 && wConst[r] {
-			pre[r] = true
-			any = true
-		}
-	}
-	if !any {
-		c.preload = pre
-		return
+	if !candidates {
+		return // no constant, so nothing can fold
 	}
 
 	g := graph.New(len(f.Blocks))
@@ -515,44 +686,193 @@ func (c *compiler) analyzePreload(template []int64) {
 		}
 	}
 	dom := graph.Dominators(g, f.Entry)
-
-	readOK := func(r, blk, idx int) bool {
+	ordered := func(r, blk, idx int) bool {
+		if blk < 0 {
+			return false
+		}
 		if blk == wBlk[r] {
 			return idx > wIdx[r]
 		}
 		return dom.Dominates(wBlk[r], blk)
 	}
-	for bi, b := range f.Blocks {
-		for idx := 0; idx < c.nPhis[bi]; idx++ {
-			in := b.Instrs[idx]
-			for j, p := range in.PhiPreds {
-				r := in.Args[j]
-				if r < 0 || r >= n || !pre[r] {
-					continue
-				}
-				if p < 0 || !(p == wBlk[r] || dom.Dominates(wBlk[r], p)) {
-					pre[r] = false
+
+	for changed := true; changed; {
+		changed = false
+		for r, in := range wIn {
+			if c.known[r] || in == nil || wCount[r] != 1 {
+				continue
+			}
+			ok := true
+			for _, a := range in.Args {
+				if a < 0 || a >= n || !c.known[a] || !ordered(a, wBlk[r], wIdx[r]) {
+					ok = false
+					break
 				}
 			}
+			if ok {
+				c.val[r] = fold(in, c.val)
+				c.known[r] = true
+				changed = true
+			}
 		}
-		end := c.termIdx[bi] + 1 // terminators do read (br cond, switch value)
+	}
+
+	copy(c.preload, c.known)
+	c.forEachRead(func(r, blk, idx int) {
+		if c.preload[r] && !ordered(r, blk, idx) {
+			c.preload[r] = false
+		}
+	})
+}
+
+// analyzeReset returns the registers that some path through one iteration
+// can read before writing them: the only ones RunIteration must zero to
+// reproduce the interpreter's zeroed frame. It is a forward must-analysis
+// of "definitely written": a block's entry set is the intersection over
+// its incoming edges (the virtual -1 edge included) of the predecessor's
+// exit set plus the edge's phi destinations, and preloaded registers are
+// in every set, since the frame holds their constant throughout. Each read
+// — operands, terminator conditions, phi sources on edges, SendLS slots —
+// of a register outside the set at that point puts it in the reset set.
+//
+// The write sets are exactly what the compiled closures store: an
+// instruction's Dst (for value ops and calls with a result) or RecvLS's
+// Dsts. A closure that fails instead of writing ends the iteration, so no
+// read after it runs. A comparison fused into its branch skips its store
+// on the fast path, but its only reader is that branch, which recomputes
+// the comparison rather than reading the register.
+func (c *compiler) analyzeReset() []int {
+	f := c.f
+	n := f.NumRegs
+	in := make([]*bitset.Set, len(f.Blocks)) // nil: not reached yet
+	start := bitset.New(n)
+	for r, ok := range c.preload {
+		if ok {
+			start.Set(r)
+		}
+	}
+	writes := func(ins *ir.Instr, def *bitset.Set) {
+		for _, d := range ins.Defines() {
+			if d >= 0 && d < n {
+				def.Set(d)
+			}
+		}
+	}
+	// walk runs block b's live region from def, calling read for each
+	// operand read at the point it happens, and returns the exit set.
+	walk := func(bi int, def *bitset.Set, read func(r int, def *bitset.Set)) *bitset.Set {
+		def = def.Copy()
+		b := f.Blocks[bi]
+		end := c.termIdx[bi] + 1
 		if end == 0 {
 			end = len(b.Instrs)
 		}
 		for idx := c.nPhis[bi]; idx < end; idx++ {
-			for _, r := range b.Instrs[idx].Args {
-				if r >= 0 && r < n && pre[r] && !readOK(r, bi, idx) {
-					pre[r] = false
+			ins := b.Instrs[idx]
+			if read != nil {
+				for _, r := range ins.Args {
+					read(r, def)
+				}
+			}
+			writes(ins, def)
+		}
+		return def
+	}
+	succs := func(bi int) []int {
+		if ti := c.termIdx[bi]; ti >= 0 {
+			return f.Blocks[bi].Instrs[ti].Targets
+		}
+		return nil
+	}
+	// along returns the set entering e's target, or nil for an edge that
+	// fails instead of arriving.
+	along := func(e edge, def *bitset.Set) *bitset.Set {
+		if e.err != nil {
+			return nil
+		}
+		def = def.Copy()
+		for _, d := range e.dsts {
+			if d >= 0 && d < n {
+				def.Set(d)
+			}
+		}
+		return def
+	}
+
+	entry := c.planEdge(-1, f.Entry)
+	var work []int
+	if s := along(entry, start); s != nil {
+		in[f.Entry] = s
+		work = append(work, f.Entry)
+	}
+	for len(work) > 0 {
+		bi := work[len(work)-1]
+		work = work[:len(work)-1]
+		out := walk(bi, in[bi], nil)
+		for _, t := range succs(bi) {
+			s := along(c.planEdge(bi, t), out)
+			switch {
+			case s == nil:
+			case in[t] == nil:
+				in[t] = s
+				work = append(work, t)
+			default:
+				before := in[t].Count()
+				in[t].Intersect(s)
+				if in[t].Count() != before {
+					work = append(work, t)
 				}
 			}
 		}
 	}
-	for r, ok := range pre {
-		if ok {
-			template[r] = wImm[r]
+
+	reset := bitset.New(n)
+	read := func(r int, def *bitset.Set) {
+		if r >= 0 && r < n && !def.Has(r) {
+			reset.Set(r)
 		}
 	}
-	c.preload = pre
+	for _, s := range entry.srcs {
+		read(s, start)
+	}
+	for bi := range f.Blocks {
+		if in[bi] == nil {
+			continue // unreachable: never runs
+		}
+		out := walk(bi, in[bi], read)
+		for _, t := range succs(bi) {
+			for _, s := range c.planEdge(bi, t).srcs {
+				read(s, out)
+			}
+		}
+	}
+	return reset.Slice()
+}
+
+// fusedCompare returns the index of the comparison block bi's OpBr can
+// absorb, or -1. It must immediately precede the branch, compute the
+// branch condition, and have no other reader, and both edges must be free
+// of phi moves.
+func (c *compiler) fusedCompare(bi int) int {
+	ti := c.termIdx[bi]
+	if ti < 1 || ti-1 < c.nPhis[bi] {
+		return -1
+	}
+	b := c.f.Blocks[bi]
+	br, cmp := b.Instrs[ti], b.Instrs[ti-1]
+	if br.Op != ir.OpBr || cmp.Op < ir.OpEq || cmp.Op > ir.OpGe || len(cmp.Args) < 2 {
+		return -1
+	}
+	d := cmp.Dst
+	if d != br.Args[0] || d < 0 || d >= len(c.readers) || c.readers[d] != 1 {
+		return -1
+	}
+	for _, t := range br.Targets[:2] {
+		if !c.planEdge(bi, t).trivial() {
+			return -1
+		}
+	}
+	return ti - 1
 }
 
 // planEdge resolves the phi moves of the pred -> succ edge.
@@ -653,6 +973,143 @@ func (m *Runner) compileTerm(c *compiler, blk *ir.Block, in *ir.Instr) instrFn {
 	panic("exec: compileTerm on a non-terminator") // unreachable: termIdx selects control ops only
 }
 
+// mirror returns the op that computes the same result with its operands
+// swapped, for the ops that have one.
+func mirror(op ir.Op) (ir.Op, bool) {
+	switch op {
+	case ir.OpAdd, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpEq, ir.OpNe:
+		return op, true
+	case ir.OpLt:
+		return ir.OpGt, true
+	case ir.OpLe:
+		return ir.OpGe, true
+	case ir.OpGt:
+		return ir.OpLt, true
+	case ir.OpGe:
+		return ir.OpLe, true
+	}
+	return op, false
+}
+
+// operands resolves a binary instruction's operands for lowering. When the
+// right operand is preloaded, or the left one is and the op can be
+// mirrored, it returns the op to apply as a <op> k with the register operand
+// in a and the constant in k; otherwise imm is false and the op reads a and
+// b.
+func (c *compiler) operands(in *ir.Instr) (op ir.Op, a, b int, k int64, imm bool) {
+	op, a, b = in.Op, in.Args[0], in.Args[1]
+	if kb, ok := c.imm(b); ok {
+		return op, a, b, kb, true
+	}
+	if ka, ok := c.imm(a); ok {
+		if mop, ok := mirror(op); ok {
+			return mop, b, a, ka, true
+		}
+	}
+	return op, a, b, 0, false
+}
+
+// compileFusedBr emits one terminator closure for a comparison and the
+// OpBr that reads its result (see fusedCompare): it compares and returns
+// the taken successor without storing the comparison's register, whose
+// only reader is this branch. Both edges are trivial.
+func (m *Runner) compileFusedBr(c *compiler, cmp, br *ir.Instr) instrFn {
+	tb, eb := br.Targets[0], br.Targets[1]
+	op, a, b, k, imm := c.operands(cmp)
+	pa, pb := &m.regs[a], &m.regs[b]
+	if imm {
+		switch op {
+		case ir.OpEq:
+			return func(m *Runner) int {
+				if *pa == k {
+					return tb
+				}
+				return eb
+			}
+		case ir.OpNe:
+			return func(m *Runner) int {
+				if *pa != k {
+					return tb
+				}
+				return eb
+			}
+		case ir.OpLt:
+			return func(m *Runner) int {
+				if *pa < k {
+					return tb
+				}
+				return eb
+			}
+		case ir.OpLe:
+			return func(m *Runner) int {
+				if *pa <= k {
+					return tb
+				}
+				return eb
+			}
+		case ir.OpGt:
+			return func(m *Runner) int {
+				if *pa > k {
+					return tb
+				}
+				return eb
+			}
+		case ir.OpGe:
+			return func(m *Runner) int {
+				if *pa >= k {
+					return tb
+				}
+				return eb
+			}
+		}
+	}
+	switch op {
+	case ir.OpEq:
+		return func(m *Runner) int {
+			if *pa == *pb {
+				return tb
+			}
+			return eb
+		}
+	case ir.OpNe:
+		return func(m *Runner) int {
+			if *pa != *pb {
+				return tb
+			}
+			return eb
+		}
+	case ir.OpLt:
+		return func(m *Runner) int {
+			if *pa < *pb {
+				return tb
+			}
+			return eb
+		}
+	case ir.OpLe:
+		return func(m *Runner) int {
+			if *pa <= *pb {
+				return tb
+			}
+			return eb
+		}
+	case ir.OpGt:
+		return func(m *Runner) int {
+			if *pa > *pb {
+				return tb
+			}
+			return eb
+		}
+	case ir.OpGe:
+		return func(m *Runner) int {
+			if *pa >= *pb {
+				return tb
+			}
+			return eb
+		}
+	}
+	panic("exec: compileFusedBr on a non-comparison") // unreachable: fusedCompare selects comparisons only
+}
+
 // compileInstr emits the specialized closure for one straight-line (non-phi,
 // non-terminator) instruction. Operand and destination registers are
 // captured as direct *int64 pointers into the frame, so the closures touch
@@ -660,6 +1117,13 @@ func (m *Runner) compileTerm(c *compiler, blk *ir.Block, in *ir.Instr) instrFn {
 // return a don't-care non-pcErr value.
 func (m *Runner) compileInstr(c *compiler, blk *ir.Block, in *ir.Instr) instrFn {
 	regs := m.regs
+	if d := in.Dst; d >= 0 && d < len(c.known) && c.known[d] {
+		// The single writer of a known register: its value was folded
+		// at lowering time, so it is a constant store (the exact path
+		// rewrites a preloaded register's frame value with it).
+		pd, v := &regs[d], c.val[d]
+		return func(m *Runner) int { *pd = v; return 0 }
+	}
 
 	switch in.Op {
 	case ir.OpConst:
@@ -669,78 +1133,16 @@ func (m *Runner) compileInstr(c *compiler, blk *ir.Block, in *ir.Instr) instrFn 
 		pd, pa := &regs[in.Dst], &regs[in.Args[0]]
 		return func(m *Runner) int { *pd = *pa; return 0 }
 
-	case ir.OpAdd:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa + *pb; return 0 }
-	case ir.OpSub:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa - *pb; return 0 }
-	case ir.OpMul:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa * *pb; return 0 }
-	case ir.OpDiv:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int {
-			a, b := *pa, *pb
-			switch {
-			case b == 0:
-				*pd = 0
-			case a == -a && b == -1:
-				// Avoid the single overflowing case MinInt64 / -1.
-				*pd = a
-			default:
-				*pd = a / b
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod, ir.OpAnd, ir.OpOr, ir.OpXor,
+		ir.OpShl, ir.OpShr, ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
+		op, a, b, k, imm := c.operands(in)
+		pd, pa := &regs[in.Dst], &regs[a]
+		if imm {
+			if fn := binaryImm(op, pd, pa, k); fn != nil {
+				return fn
 			}
-			return 0
 		}
-	case ir.OpMod:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int {
-			a, b := *pa, *pb
-			switch {
-			case b == 0:
-				*pd = 0
-			case a == -a && b == -1:
-				*pd = 0
-			default:
-				*pd = a % b
-			}
-			return 0
-		}
-	case ir.OpAnd:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa & *pb; return 0 }
-	case ir.OpOr:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa | *pb; return 0 }
-	case ir.OpXor:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa ^ *pb; return 0 }
-	case ir.OpShl:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa << (uint64(*pb) & 63); return 0 }
-	case ir.OpShr:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa >> (uint64(*pb) & 63); return 0 }
-
-	case ir.OpEq:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa == *pb); return 0 }
-	case ir.OpNe:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa != *pb); return 0 }
-	case ir.OpLt:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa < *pb); return 0 }
-	case ir.OpLe:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa <= *pb); return 0 }
-	case ir.OpGt:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa > *pb); return 0 }
-	case ir.OpGe:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa >= *pb); return 0 }
+		return binary(op, pd, pa, &regs[b])
 
 	case ir.OpNeg:
 		pd, pa := &regs[in.Dst], &regs[in.Args[0]]
@@ -780,7 +1182,7 @@ func (m *Runner) compileInstr(c *compiler, blk *ir.Block, in *ir.Instr) instrFn 
 		return func(m *Runner) int { m.localBind[slot][wrapIndex(*pidx, size)] = *pval; return 0 }
 
 	case ir.OpCall:
-		return m.compileCall(in)
+		return m.compileCall(c, in)
 
 	case ir.OpSendLS:
 		ptrs := make([]*int64, len(in.Args))
@@ -825,12 +1227,133 @@ func (m *Runner) compileInstr(c *compiler, blk *ir.Block, in *ir.Instr) instrFn 
 	return func(m *Runner) int { m.err = err; return pcErr }
 }
 
+// binaryImm emits the closure computing *pd = *pa op k, or nil for an op
+// with no immediate form (div, mod).
+func binaryImm(op ir.Op, pd, pa *int64, k int64) instrFn {
+	switch op {
+	case ir.OpAdd:
+		return func(m *Runner) int { *pd = *pa + k; return 0 }
+	case ir.OpSub:
+		return func(m *Runner) int { *pd = *pa - k; return 0 }
+	case ir.OpMul:
+		return func(m *Runner) int { *pd = *pa * k; return 0 }
+	case ir.OpAnd:
+		return func(m *Runner) int { *pd = *pa & k; return 0 }
+	case ir.OpOr:
+		return func(m *Runner) int { *pd = *pa | k; return 0 }
+	case ir.OpXor:
+		return func(m *Runner) int { *pd = *pa ^ k; return 0 }
+	case ir.OpShl:
+		s := uint64(k) & 63
+		return func(m *Runner) int { *pd = *pa << s; return 0 }
+	case ir.OpShr:
+		s := uint64(k) & 63
+		return func(m *Runner) int { *pd = *pa >> s; return 0 }
+	case ir.OpEq:
+		return func(m *Runner) int { *pd = b2i(*pa == k); return 0 }
+	case ir.OpNe:
+		return func(m *Runner) int { *pd = b2i(*pa != k); return 0 }
+	case ir.OpLt:
+		return func(m *Runner) int { *pd = b2i(*pa < k); return 0 }
+	case ir.OpLe:
+		return func(m *Runner) int { *pd = b2i(*pa <= k); return 0 }
+	case ir.OpGt:
+		return func(m *Runner) int { *pd = b2i(*pa > k); return 0 }
+	case ir.OpGe:
+		return func(m *Runner) int { *pd = b2i(*pa >= k); return 0 }
+	}
+	return nil
+}
+
+// binary emits the closure computing *pd = *pa op *pb with the
+// interpreter's total semantics.
+func binary(op ir.Op, pd, pa, pb *int64) instrFn {
+	switch op {
+	case ir.OpAdd:
+		return func(m *Runner) int { *pd = *pa + *pb; return 0 }
+	case ir.OpSub:
+		return func(m *Runner) int { *pd = *pa - *pb; return 0 }
+	case ir.OpMul:
+		return func(m *Runner) int { *pd = *pa * *pb; return 0 }
+	case ir.OpDiv:
+		return func(m *Runner) int {
+			a, b := *pa, *pb
+			switch {
+			case b == 0:
+				*pd = 0
+			case a == -a && b == -1:
+				// Avoid the single overflowing case MinInt64 / -1.
+				*pd = a
+			default:
+				*pd = a / b
+			}
+			return 0
+		}
+	case ir.OpMod:
+		return func(m *Runner) int {
+			a, b := *pa, *pb
+			switch {
+			case b == 0:
+				*pd = 0
+			case a == -a && b == -1:
+				*pd = 0
+			default:
+				*pd = a % b
+			}
+			return 0
+		}
+	case ir.OpAnd:
+		return func(m *Runner) int { *pd = *pa & *pb; return 0 }
+	case ir.OpOr:
+		return func(m *Runner) int { *pd = *pa | *pb; return 0 }
+	case ir.OpXor:
+		return func(m *Runner) int { *pd = *pa ^ *pb; return 0 }
+	case ir.OpShl:
+		return func(m *Runner) int { *pd = *pa << (uint64(*pb) & 63); return 0 }
+	case ir.OpShr:
+		return func(m *Runner) int { *pd = *pa >> (uint64(*pb) & 63); return 0 }
+	case ir.OpEq:
+		return func(m *Runner) int { *pd = b2i(*pa == *pb); return 0 }
+	case ir.OpNe:
+		return func(m *Runner) int { *pd = b2i(*pa != *pb); return 0 }
+	case ir.OpLt:
+		return func(m *Runner) int { *pd = b2i(*pa < *pb); return 0 }
+	case ir.OpLe:
+		return func(m *Runner) int { *pd = b2i(*pa <= *pb); return 0 }
+	case ir.OpGt:
+		return func(m *Runner) int { *pd = b2i(*pa > *pb); return 0 }
+	case ir.OpGe:
+		return func(m *Runner) int { *pd = b2i(*pa >= *pb); return 0 }
+	}
+	panic("exec: binary on a non-binary op") // unreachable: callers pass binary ops only
+}
+
+// nop is the closure of an instruction with no effect.
+func nop(m *Runner) int { return 0 }
+
+// pktWord mirrors the interpreter's pkt_word: the big-endian 32-bit word at
+// off, with bytes outside the packet reading as zero.
+func pktWord(pkt []byte, off int64) int64 {
+	if off >= 0 && off <= int64(len(pkt))-4 {
+		p := pkt[off : off+4]
+		return int64(p[0])<<24 | int64(p[1])<<16 | int64(p[2])<<8 | int64(p[3])
+	}
+	var v int64
+	for i := int64(0); i < 4; i++ {
+		v <<= 8
+		if o := off + i; o >= 0 && o < int64(len(pkt)) {
+			v |= int64(pkt[o])
+		}
+	}
+	return v
+}
+
 // compileCall specializes an intrinsic call: the name is resolved once here
 // instead of once per execution, and each intrinsic becomes a dedicated
 // closure over direct pointers to its argument and destination slots. The
 // semantics of every intrinsic match interp.Runner.intrinsic exactly; a nil
 // destination pointer mirrors the interpreter's in.Dst != ir.NoReg check.
-func (m *Runner) compileCall(in *ir.Instr) instrFn {
+func (m *Runner) compileCall(c *compiler, in *ir.Instr) instrFn {
 	regs := m.regs
 	var pd *int64
 	if in.Dst != ir.NoReg {
@@ -851,7 +1374,7 @@ func (m *Runner) compileCall(in *ir.Instr) instrFn {
 				p = m.World.RxPacket()
 			}
 			if p == nil {
-				ctx.Pkt, ctx.HasPkt = nil, false
+				ctx.Pkt, ctx.HasPkt, ctx.PktShared = nil, false, false
 				if pd != nil {
 					*pd = -1
 				}
@@ -859,7 +1382,7 @@ func (m *Runner) compileCall(in *ir.Instr) instrFn {
 			}
 			buf := make([]byte, len(p))
 			copy(buf, p)
-			ctx.Pkt, ctx.HasPkt = buf, true
+			ctx.Pkt, ctx.HasPkt, ctx.PktShared = buf, true, false
 			if pd != nil {
 				*pd = int64(len(buf))
 			}
@@ -873,43 +1396,45 @@ func (m *Runner) compileCall(in *ir.Instr) instrFn {
 			return 0
 		}
 	case "pkt_byte":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			off := *p0
-			if off < 0 || off >= int64(len(m.ctx.Pkt)) {
-				if pd != nil {
+		switch k, imm := c.imm(in.Args[0]); {
+		case pd == nil:
+			return nop // a read with no destination has no effect
+		case imm && k < 0:
+			return func(m *Runner) int { *pd = 0; return 0 }
+		case imm:
+			return func(m *Runner) int {
+				if pkt := m.ctx.Pkt; k < int64(len(pkt)) {
+					*pd = int64(pkt[k])
+				} else {
 					*pd = 0
 				}
+				return 0
+			}
+		}
+		p0 := argp(0)
+		return func(m *Runner) int {
+			if off, pkt := *p0, m.ctx.Pkt; off >= 0 && off < int64(len(pkt)) {
+				*pd = int64(pkt[off])
 			} else {
-				if pd != nil {
-					*pd = int64(m.ctx.Pkt[off])
-				}
+				*pd = 0
 			}
 			return 0
 		}
 	case "pkt_word":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			off := *p0
-			pkt := m.ctx.Pkt
-			var v int64
-			for i := int64(0); i < 4; i++ {
-				v <<= 8
-				if o := off + i; o >= 0 && o < int64(len(pkt)) {
-					v |= int64(pkt[o])
-				}
-			}
-			if pd != nil {
-				*pd = v
-			}
-			return 0
+		if pd == nil {
+			return nop
 		}
+		if k, ok := c.imm(in.Args[0]); ok {
+			return func(m *Runner) int { *pd = pktWord(m.ctx.Pkt, k); return 0 }
+		}
+		p0 := argp(0)
+		return func(m *Runner) int { *pd = pktWord(m.ctx.Pkt, *p0); return 0 }
 	case "pkt_setbyte":
 		p0, p1 := argp(0), argp(1)
 		return func(m *Runner) int {
 			off, val := *p0, *p1
 			if off >= 0 && off < int64(len(m.ctx.Pkt)) {
-				m.ctx.Pkt[off] = byte(val)
+				m.ctx.WritablePkt()[off] = byte(val)
 			}
 			if pd != nil {
 				*pd = 0
@@ -920,7 +1445,7 @@ func (m *Runner) compileCall(in *ir.Instr) instrFn {
 		p0, p1 := argp(0), argp(1)
 		return func(m *Runner) int {
 			off, val := *p0, *p1
-			pkt := m.ctx.Pkt
+			pkt := m.ctx.WritablePkt()
 			for i := int64(0); i < 4; i++ {
 				if o := off + i; o >= 0 && o < int64(len(pkt)) {
 					pkt[o] = byte(val >> (8 * (3 - i)))
@@ -934,8 +1459,14 @@ func (m *Runner) compileCall(in *ir.Instr) instrFn {
 	case "pkt_send":
 		p0 := argp(0)
 		return func(m *Runner) int {
-			pkt := make([]byte, len(m.ctx.Pkt))
-			copy(pkt, m.ctx.Pkt)
+			// The event takes the packet buffer itself; PktShared makes a
+			// later write this iteration copy it first (copy on write).
+			ctx := m.ctx
+			pkt := ctx.Pkt
+			if pkt == nil {
+				pkt = []byte{} // the interpreter's copy of no packet is empty, not nil
+			}
+			ctx.PktShared = true
 			m.emitEv(interp.Event{Kind: interp.EvSend, Val: *p0, Pkt: pkt})
 			if pd != nil {
 				*pd = 0

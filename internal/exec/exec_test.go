@@ -1,12 +1,15 @@
 package exec_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/netbench"
 	"repro/internal/ppc"
 	"repro/internal/randprog"
@@ -201,19 +204,110 @@ func TestCompiledStageHandoff(t *testing.T) {
 }
 
 // TestCompiledStepLimitParity checks that a non-terminating loop errors on
-// both backends with the same message rather than hanging.
+// both backends with the same message and after the same trace, wherever in
+// the loop the budget runs out. The loop's blocks hold every lowering rule
+// that drops closures from the fast path — folded arithmetic (1 << 40,
+// B + 3 and its copy), a compare-and-branch fused with an immediate
+// operand, and an add with an immediate — plus a trace() that makes the
+// step on which the limit fires observable. Each "y = x;" of preamble is
+// one IR instruction, so sweeping the preamble across the loop's period
+// moves the limit through every instruction offset of the loop; the test
+// checks that it did.
 func TestCompiledStepLimitParity(t *testing.T) {
-	prog, err := ppc.Compile(`pps P { loop { var i = 0; while (1) { i = i + 1; } } }`)
+	const loop = `const B = 4;
+pps P { loop { var x = 1; var y = x;%s var i = 0;
+	while (i < 1 << 40) { var k = B + 3; trace(i); i = i + k; } } }`
+	type site struct {
+		blk string
+		idx int
+	}
+	var cycle []site           // every instruction of the loop
+	lastRun := map[site]bool{} // the last instruction a run executed
+	for pad := 0; pad == 0 || pad < len(cycle); pad++ {
+		prog, err := ppc.Compile(fmt.Sprintf(loop, strings.Repeat(" y = x;", pad)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := map[*ir.Instr]site{}
+		for _, b := range prog.Func.Blocks {
+			for idx, in := range b.Instrs {
+				at[in] = site{b.Name, idx}
+				if pad == 0 && (b.Name == "while.head" || b.Name == "while.body") {
+					cycle = append(cycle, site{b.Name, idx})
+				}
+			}
+		}
+
+		iw, cw := interp.NewWorld(nil), interp.NewWorld(nil)
+		oracle := interp.NewRunner(prog, iw)
+		var last *ir.Instr
+		oracle.OnInstr = func(in *ir.Instr) { last = in }
+		_, iErr := oracle.RunIteration(interp.NewIterCtx(), nil)
+		_, cErr := exec.NewRunner(prog, cw).RunIteration(interp.NewIterCtx(), nil)
+		if iErr == nil || cErr == nil {
+			t.Fatalf("pad %d: non-terminating loop did not error: interp=%v exec=%v", pad, iErr, cErr)
+		}
+		if iErr.Error() != cErr.Error() {
+			t.Fatalf("pad %d: error messages diverge:\ninterp: %v\nexec:   %v", pad, iErr, cErr)
+		}
+		if diff := interp.TraceEqual(iw.Trace, cw.Trace); diff != "" {
+			t.Fatalf("pad %d: traces before the step limit diverge: %s", pad, diff)
+		}
+		lastRun[at[last]] = true
+	}
+	for _, s := range cycle {
+		if !lastRun[s] {
+			t.Errorf("no preamble length ran out of budget right after %s[%d]", s.blk, s.idx)
+		}
+	}
+}
+
+// TestCompiledSendCopyOnWrite checks packet ownership after pkt_send: the
+// compiled backend's send event takes the packet buffer itself, so the
+// pkt_setbyte and pkt_setword that follow — in the same stage or, once
+// partitioned, a downstream one — must copy the packet before writing, and
+// the first event must keep the bytes as they were sent.
+func TestCompiledSendCopyOnWrite(t *testing.T) {
+	prog, err := ppc.Compile(`pps P { loop {
+		var n = pkt_rx();
+		if (n < 0) { continue; }
+		pkt_send(1);
+		pkt_setbyte(0, pkt_byte(1) + 1);
+		pkt_send(2);
+		var h = hash_crc(pkt_word(0) + n);
+		pkt_setword(2, h);
+		trace(h);
+		pkt_send(3);
+	} }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, iErr := interp.RunSequential(prog.Clone(), interp.NewWorld(nil), 1)
-	_, cErr := exec.RunSequential(prog, interp.NewWorld(nil), 1)
-	if iErr == nil || cErr == nil {
-		t.Fatalf("non-terminating loop did not error: interp=%v exec=%v", iErr, cErr)
+	packets := [][]byte{{1, 2, 3, 4, 5, 6}, {9, 8, 7}, {}, {0xff}}
+	iters := len(packets) + 1
+	base := interp.NewWorld(packets)
+	want, err := interp.RunSequential(prog.Clone(), base.Clone(), iters)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if iErr.Error() != cErr.Error() {
-		t.Fatalf("error messages diverge:\ninterp: %v\nexec:   %v", iErr, cErr)
+	got, err := exec.RunSequential(prog, base.Clone(), iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := interp.TraceEqual(want, got); diff != "" {
+		t.Fatalf("sequential: %s", diff)
+	}
+	for _, d := range []int{2, 3, 4} {
+		res, err := core.Partition(prog, core.Options{Stages: d})
+		if err != nil {
+			t.Fatalf("D=%d: %v", d, err)
+		}
+		got, err := exec.RunPipeline(res.Stages, base.Clone(), iters)
+		if err != nil {
+			t.Fatalf("D=%d: %v", d, err)
+		}
+		if diff := interp.TraceEqual(want, got); diff != "" {
+			t.Fatalf("D=%d: %s", d, diff)
+		}
 	}
 }
 
@@ -308,5 +402,38 @@ func BenchmarkCompiledSequentialIPv4(b *testing.B) {
 		if len(world.Trace) > 1<<16 {
 			world.Trace = world.Trace[:0]
 		}
+	}
+}
+
+// BenchmarkCompiledStageIPv4D1 measures the program the ipv4-d1 serve
+// workload runs: the IPv4 PPS realized as one pipeline stage (live-set
+// plumbing and all), fed pre-pulled packets with deferred events, as the
+// streaming runtime drives it.
+func BenchmarkCompiledStageIPv4D1(b *testing.B) {
+	pps, ok := netbench.ByName("IPv4")
+	if !ok {
+		b.Fatal("IPv4 benchmark missing")
+	}
+	prog, err := pps.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Partition(prog, core.Options{Stages: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	traffic := pps.Traffic(256)
+	r := exec.NewStageRunners(res.Stages, netbench.NewWorld(nil))[0]
+	r.RxFromCtx = true
+	ctx := interp.NewIterCtx()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.DeferEvents = true
+		ctx.Pending, ctx.HasPending = traffic[i%len(traffic)], true
+		if _, err := r.RunIteration(ctx, nil); err != nil {
+			b.Fatal(err)
+		}
+		ctx.Reset()
 	}
 }

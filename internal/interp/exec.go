@@ -405,12 +405,12 @@ func (r *Runner) intrinsic(ctx *IterCtx, in *ir.Instr, regs []int64) (int64, err
 			p = w.rx()
 		}
 		if p == nil {
-			ctx.Pkt, ctx.HasPkt = nil, false
+			ctx.Pkt, ctx.HasPkt, ctx.PktShared = nil, false, false
 			return -1, nil
 		}
 		buf := make([]byte, len(p))
 		copy(buf, p)
-		ctx.Pkt, ctx.HasPkt = buf, true
+		ctx.Pkt, ctx.HasPkt, ctx.PktShared = buf, true, false
 		return int64(len(buf)), nil
 	case "pkt_len":
 		return int64(len(ctx.Pkt)), nil
@@ -433,14 +433,15 @@ func (r *Runner) intrinsic(ctx *IterCtx, in *ir.Instr, regs []int64) (int64, err
 	case "pkt_setbyte":
 		off, val := arg(0), arg(1)
 		if off >= 0 && off < int64(len(ctx.Pkt)) {
-			ctx.Pkt[off] = byte(val)
+			ctx.WritablePkt()[off] = byte(val)
 		}
 		return 0, nil
 	case "pkt_setword":
 		off, val := arg(0), arg(1)
+		pkt := ctx.WritablePkt()
 		for i := int64(0); i < 4; i++ {
-			if o := off + i; o >= 0 && o < int64(len(ctx.Pkt)) {
-				ctx.Pkt[o] = byte(val >> (8 * (3 - i)))
+			if o := off + i; o >= 0 && o < int64(len(pkt)) {
+				pkt[o] = byte(val >> (8 * (3 - i)))
 			}
 		}
 		return 0, nil

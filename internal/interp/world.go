@@ -166,6 +166,24 @@ type IterCtx struct {
 	// the pipeline sink, reconstructing the sequential trace exactly.
 	DeferEvents bool
 	Events      []Event
+
+	// PktShared is set when an emitted send event took Pkt's buffer as its
+	// own instead of copying it (the compiled backend's pkt_send does).
+	// From then on the buffer belongs to the event, so a later write to
+	// the packet in this iteration — in this stage or a downstream one —
+	// must first give Pkt a private copy; WritablePkt does that. pkt_rx
+	// and Reset clear it.
+	PktShared bool
+}
+
+// WritablePkt returns the packet for an in-place write, first replacing a
+// buffer shared with an emitted event by a private copy.
+func (c *IterCtx) WritablePkt() []byte {
+	if c.PktShared {
+		c.Pkt = append(make([]byte, 0, len(c.Pkt)), c.Pkt...)
+		c.PktShared = false
+	}
+	return c.Pkt
 }
 
 // NewIterCtx returns an empty per-iteration context.
@@ -195,7 +213,7 @@ func (c *IterCtx) Local(id, size int) []int64 {
 // allocated capacity (the local-array storage is zeroed in place, the
 // event buffer truncated).
 func (c *IterCtx) Reset() {
-	c.Pkt, c.HasPkt = nil, false
+	c.Pkt, c.HasPkt, c.PktShared = nil, false, false
 	c.Meta = [16]int64{}
 	for _, st := range c.locals {
 		if st != nil {
