@@ -187,7 +187,7 @@ type Plan struct {
 	// weights — calibrated units after adaptation, static units before.
 	StageWeights []int64
 	// FusedCuts lists the 1-based cuts realized by stage fusion — cut k
-	// joins stages k and k+1 into one execution unit instead of an SPSC
+	// joins stages k and k+1 into one execution unit instead of a
 	// ring. Empty when every cut keeps its ring (including under
 	// FusionOff).
 	FusedCuts []int
@@ -217,7 +217,7 @@ func staticPlan(stages []*Program, report *Report, cfg config) *Plan {
 	}
 	if cfg.fusion == FusionAuto {
 		_, p.FusedCuts, p.FusionWhy = planFusion(stages, p.StageWeights, 1.0,
-			p.Batch, p.Shards, cfg.shardKey != nil, fusionCores(), cfg.ringImpl)
+			p.Batch, p.Shards, cfg.shardKey != nil, fusionCores())
 	}
 	return p
 }
@@ -348,13 +348,13 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	// (all stages' work must share the host's processors — on a small host
 	// a deep pipeline buys nothing, and the prior must know that or it
 	// would spend every probe on candidates that cannot win). The
-	// per-ring-entry synchronization estimate (ringSyncNsFor, fusion.go)
-	// is the configured ring implementation's measured blocked-handoff
-	// cost — it only has to order batch sizes plausibly; measurements make
-	// the actual choice. When the fusion valuator finds cuts not worth their
-	// ring at a given (degree, batch), the fused realization enters the
-	// space as its own candidate and competes on the same two bounds, with
-	// the handoff tax charged per realized unit instead of per stage.
+	// per-ring-entry synchronization estimate (ringSyncNs, fusion.go) is
+	// the measured blocked-handoff cost — it only has to order batch sizes
+	// plausibly; measurements make the actual choice. When the fusion
+	// valuator finds cuts not worth their ring at a given (degree,
+	// batch), the fused realization enters the space as its own candidate
+	// and competes on the same two bounds, with the handoff tax charged
+	// per realized unit instead of per stage.
 	ncpu := float64(stdruntime.GOMAXPROCS(0))
 	cuts := map[int]*core.Result{}
 	fusePlans := map[[2]int]costmodel.FusionPlan{} // (degree, batch) -> valuation
@@ -376,7 +376,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 			work += stageNs[i]
 		}
 		for _, b := range at.Batches {
-			sync := ringSyncNsFor(cfg.ringImpl) / float64(b)
+			sync := ringSyncNs / float64(b)
 			var fp costmodel.FusionPlan
 			if cfg.fusion != FusionOff && d > 1 {
 				fp = costmodel.PlanFusion(stageNs, sync, int(ncpu))

@@ -337,7 +337,7 @@ func BenchmarkServeIPv4D4Batch32(b *testing.B) { benchmarkServe(b, 4, 32, repro.
 // BenchmarkServeIPv4D4Fused and BenchmarkServeIPv4D4Unfused are the
 // fusion-comparison pair at the perf-gate shape (D=4, batch 32): Fused
 // lets the valuator realize ring-unworthy cuts as fused units
-// (FusionAuto, the serve default); Unfused pins every cut to an SPSC
+// (FusionAuto, the serve default); Unfused pins every cut to a
 // ring. On hosts where the valuator fuses (few cores, or stage work far
 // below the ring tax), Fused measures the zero-copy handoff path.
 func BenchmarkServeIPv4D4Fused(b *testing.B) { benchmarkServe(b, 4, 32, repro.BackendCompiled) }

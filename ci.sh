@@ -37,18 +37,13 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== ring gate: SPSC unit tests + microbench smoke + both-impl oracle matrix"
-# The lock-free SPSC ring against its channel oracle. Three layers: the
-# package's own unit tests under -race (the publish/claim and close/drain
-# protocols are only meaningful there), a short microbench smoke proving
-# BenchmarkRingChanVsSPSC still runs on both implementations (the numbers
-# are recorded in EXPERIMENTS.md, not gated — wall-clock on a shared box),
-# and the runtime's both-implementation oracle matrix under -race
-# -count=2, which serves every benchmark pipeline over SPSC rings and
-# channels and demands byte-identical traces from each.
-go test -race ./internal/spsc
-go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
-go test -race -count=2 -run 'TestRingImpl|TestRingSPSC' ./internal/runtime
+echo "== ring gate: oracle matrix + wait accounting under -race -count=2"
+# The inter-stage rings (buffered channels): the oracle matrix serves every
+# benchmark pipeline ringed and fused at P in {1, 4} and demands
+# byte-identical traces; the wait-accounting test checks every blocked
+# handoff is counted exactly once. -count=2 defeats the test cache so the
+# race detector sees two fresh interleavings.
+go test -race -count=2 -run '^TestRing' ./internal/runtime
 
 echo "== fuzz smoke: 10s of FuzzServeVsOracle"
 # Differential fuzzing of the streaming runtime against the sequential
@@ -98,9 +93,9 @@ echo "== pipebench serve (compiled backend) -> BENCH_serve.json"
 # The compiled-backend serve benchmark is also the throughput-regression
 # gate: -baseline compares the fresh guarded points — (D=1, batch=32, P=1),
 # the sharded (D=1, batch=32, P=4) point, and the deep-pipeline (D=4,
-# batch=32, P=1) point, ringed and fused, all measured over the default
-# SPSC rings (schema v4 records the implementation in the "ring" column) —
-# against the checked-in BENCH_serve.json BEFORE -json overwrites it, and
+# batch=32, P=1) point, ringed and fused — against the checked-in
+# BENCH_serve.json BEFORE -json overwrites it (a baseline's old "ring"
+# column is ignored), and
 # fails the run on a >10% pkt/s regression at any of them. -shards 1,2,4
 # makes the sweep measure the sharded widths the gate guards.
 retry go run ./cmd/pipebench -experiment serve -backend compiled -serve-packets 50000 \

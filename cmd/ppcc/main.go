@@ -36,11 +36,6 @@
 //	-backend B   stage-execution backend for -serve: compiled (default,
 //	             IR lowered once to slot-indexed closure programs) or
 //	             interp (the reference interpreter)
-//	-ring-impl R inter-stage ring implementation for -serve: spsc
-//	             (default, the lock-free ring with adaptive spin-then-park
-//	             waits) or chan (buffered Go channels, the differential
-//	             oracle) — the served trace is byte-identical either way
-//	             (-ring already names the ring *kind*, hence -ring-impl)
 //	-shards P    -serve replica width: stages without cross-flow state run
 //	             as P parallel replicas behind a flow-hash dispatcher; the
 //	             served trace stays byte-identical to the sequential order
@@ -121,7 +116,6 @@ func main() {
 	flag.Var(&serve, "serve", "stream packets through the host runtime: -serve=N for N synthetic packets, plain -serve with -source to serve until the source is exhausted")
 	source := flag.String("source", "", "network-facing packet source for -serve: udp://host:port, tcp://host:port, pcap://file[?pace=N&loop=N], gen://ipv4[?seed=N&packets=N...]")
 	backendName := flag.String("backend", "compiled", "-serve stage-execution backend: compiled|interp")
-	ringName := flag.String("ring-impl", "spsc", "-serve inter-stage ring implementation: spsc|chan")
 	shards := flag.Int("shards", 1, "-serve pipeline replica width (flow-hash sharding)")
 	traceOut := flag.String("trace", "", "write the -serve span timeline to this file as Chrome trace_event JSON")
 	metricsAddr := flag.String("metrics", "", "expose the -serve metrics registry over HTTP on this address (e.g. :8080)")
@@ -236,15 +230,6 @@ func main() {
 		default:
 			fatal(fmt.Errorf("unknown -backend %q (want compiled|interp)", *backendName))
 		}
-		var ringImpl repro.RingImpl
-		switch *ringName {
-		case "spsc":
-			ringImpl = repro.RingSPSC
-		case "chan":
-			ringImpl = repro.RingChan
-		default:
-			fatal(fmt.Errorf("unknown -ring-impl %q (want spsc|chan)", *ringName))
-		}
 		obs := &repro.Observer{}
 		var reg *repro.Registry
 		var tr *repro.Tracer
@@ -273,8 +258,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			}
 		}
-		serveOpts := []repro.Option{repro.WithObserver(obs), repro.WithBackend(backend),
-			repro.WithRingImpl(ringImpl)}
+		serveOpts := []repro.Option{repro.WithObserver(obs), repro.WithBackend(backend)}
 		if *shards > 1 {
 			serveOpts = append(serveOpts,
 				repro.WithShards(*shards), repro.WithShardKey(repro.FlowKey))

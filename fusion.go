@@ -1,7 +1,7 @@
 package repro
 
 // Stage fusion at the repro layer: the valuation that decides, per cut of
-// a realized pipeline, whether the cut's SPSC ring is worth its
+// a realized pipeline, whether the cut's ring is worth its
 // synchronization tax or whether the two sides should be fused into one
 // execution unit (see internal/costmodel.PlanFusion for the two-bound
 // model and internal/runtime for the fused realization). WithFusion
@@ -17,36 +17,19 @@ import (
 	"repro/internal/runtime"
 )
 
-// Per-ring-entry synchronization estimates shared by the adaptive loop's
-// candidate prior and the fusion valuator, one per ring implementation.
-// Re-derived from BenchmarkRingChanVsSPSC (internal/spsc, recorded in
+// ringSyncNs is the per-ring-entry synchronization estimate shared by
+// the adaptive loop's candidate prior and the fusion valuator. It comes
+// from BenchmarkRingHandoff (internal/runtime, recorded in
 // EXPERIMENTS.md): the two-bound model charges the tax at a *saturated*
 // cut, where each entry puts one blocked handoff on the end-to-end
 // cadence, so the constant is the measured blocked ping-pong round trip
-// divided by the two entries each round trip moves — not the far cheaper
-// uncontended cost (chan ~47ns, spsc ~22ns per entry), which a saturated
-// boundary never sees. On the single-core dev host the SPSC figure is
-// slightly above the channel's because strict alternation forces every
-// SPSC wait through its notifier park while the channel runtime hands the
-// timeslice over directly (DESIGN.md §15 has the full argument); in the
-// slack regimes the serve path actually spends most of its time in, the
-// SPSC ring is 2-21x cheaper. The estimates only have to order
-// realizations plausibly — under WithAutotune, measurements make the
-// actual choice; on the static path they err toward fusing cuts that
-// cannot plausibly pay for a ring.
-const (
-	ringSyncNsSPSC = 270.0
-	ringSyncNsChan = 220.0
-)
-
-// ringSyncNsFor selects the per-entry synchronization estimate for the
-// configured ring implementation.
-func ringSyncNsFor(r RingImpl) float64 {
-	if r == RingChan {
-		return ringSyncNsChan
-	}
-	return ringSyncNsSPSC
-}
+// of a buffered chan []*token divided by the two entries each round trip
+// moves — not the far cheaper uncontended cost, which a saturated
+// boundary never sees. The estimate only has to order realizations
+// plausibly — under WithAutotune, measurements make the actual choice; on
+// the static path it errs toward fusing cuts that cannot plausibly pay
+// for a ring.
+const ringSyncNs = 310.0
 
 // fusionCores reports the core budget the fusion valuator plans for.
 // A function variable so tests (golden Plan fixtures) can pin a
@@ -61,7 +44,7 @@ var fusionCores = func() int { return stdruntime.GOMAXPROCS(0) }
 // fused unit is one goroutine per lane, so both sides must run at the
 // same width.
 func planFusion(stages []*Program, weights []int64, nsPerWeight float64,
-	batch, shards int, explicitKey bool, cores int, ring RingImpl) (mask []bool, cuts []int, why []string) {
+	batch, shards int, explicitKey bool, cores int) (mask []bool, cuts []int, why []string) {
 	d := len(stages)
 	if d <= 1 || len(weights) != d {
 		return nil, nil, nil
@@ -70,7 +53,7 @@ func planFusion(stages []*Program, weights []int64, nsPerWeight float64,
 	for i, w := range weights {
 		costs[i] = float64(w) * nsPerWeight
 	}
-	sync := ringSyncNsFor(ring) / float64(max(1, batch))
+	sync := ringSyncNs / float64(max(1, batch))
 	fp := costmodel.PlanFusion(costs, sync, cores)
 	aligned := runtime.AlignedCuts(stages, max(1, shards), explicitKey)
 	mask = make([]bool, d-1)

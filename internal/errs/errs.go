@@ -121,11 +121,6 @@ var (
 	// unknown.
 	ErrBadBackend = errors.New("bad execution backend")
 
-	// ErrBadRingImpl is returned when an inter-stage ring implementation
-	// selector is unknown (the valid realizations are the lock-free SPSC
-	// ring and the channel oracle).
-	ErrBadRingImpl = errors.New("bad ring implementation")
-
 	// ErrBadShards is returned when a shard count falls outside
 	// 1..MaxShards.
 	ErrBadShards = errors.New("bad shard count")

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -186,5 +188,40 @@ func TestThreadLatencyHidingMonotone(t *testing.T) {
 	}
 	if pts[3].CyclesPerPacket >= pts[0].CyclesPerPacket {
 		t.Error("8 threads should clearly beat 1 thread on a memory-heavy PPS")
+	}
+}
+
+// TestCheckServeBaselineIgnoresRingKey checks the serve gate against a
+// schema v4 baseline, whose points carry a "ring" key naming the ring
+// implementation they ran over: the key is ignored, the same four
+// (degree, batch, shards, fused) points are guarded, and only a >10% drop
+// at one of them fails.
+func TestCheckServeBaselineIgnoresRingKey(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	base := `[
+ {"pps":"IPv4","degree":1,"batch":32,"shards":1,"pkt_per_s":1000,"ring":"spsc"},
+ {"pps":"IPv4","degree":1,"batch":32,"shards":4,"pkt_per_s":1000,"ring":"spsc"},
+ {"pps":"IPv4","degree":4,"batch":32,"shards":1,"pkt_per_s":1000,"ring":"spsc"},
+ {"pps":"IPv4","degree":4,"batch":32,"shards":1,"fused":true,"pkt_per_s":1000,"ring":"spsc"},
+ {"pps":"IPv4","degree":2,"batch":1,"shards":1,"pkt_per_s":1000,"ring":"spsc"}
+]`
+	if err := os.WriteFile(path, []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(fusedD4 float64) []ServePoint {
+		return []ServePoint{
+			{Degree: 1, Batch: 32, Shards: 1, PktPerS: 950},
+			{Degree: 1, Batch: 32, Shards: 4, PktPerS: 950},
+			{Degree: 4, Batch: 32, Shards: 1, PktPerS: 950},
+			{Degree: 4, Batch: 32, Shards: 1, Fused: true, PktPerS: fusedD4},
+			{Degree: 2, Batch: 1, Shards: 1, PktPerS: 10}, // unguarded
+		}
+	}
+	if err := CheckServeBaseline(fresh(950), path); err != nil {
+		t.Errorf("within tolerance: %v", err)
+	}
+	err := CheckServeBaseline(fresh(850), path)
+	if err == nil || !strings.Contains(err.Error(), "D=4 batch=32 P=1 fused") {
+		t.Errorf("15%% drop at the fused D=4 point: got %v, want a regression error naming it", err)
 	}
 }

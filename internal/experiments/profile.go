@@ -32,17 +32,12 @@ type ProfileStage struct {
 	Exec time.Duration `json:"exec_ns"`
 	Wait time.Duration `json:"wait_ns"`
 	Tx   time.Duration `json:"tx_ns"`
-	// Spin and Park split the stage's total blocked-on-ring time by how
-	// each wait resolved: still in the ring's spin/yield phase versus
-	// parked on its notifier. Under the channel oracle every blocked wait
-	// parks, so Spin stays zero there; under the SPSC ring a large Spin
-	// share means the waits are short (healthy handoff churn), a large
-	// Park share means a neighbor is genuinely starved or saturated.
-	Spin time.Duration `json:"spin_ns"`
-	Park time.Duration `json:"park_ns"`
-	// Spins and Parks count the waits behind those two columns.
-	Spins int64 `json:"spins"`
-	Parks int64 `json:"parks"`
+	// Park is the stage's total blocked-on-ring time as the ring
+	// accounts it (every blocked channel wait parks) and Parks the
+	// number of such waits; a large Park share means a neighbor is
+	// genuinely starved or saturated.
+	Park  time.Duration `json:"park_ns"`
+	Parks int64         `json:"parks"`
 	// HostShare is Exec over the sum of all stages' Exec — the measured
 	// analogue of ModelShare.
 	HostShare float64 `json:"host_share"`
@@ -140,9 +135,7 @@ func Profile(name string, degree, batch, packets int) (*ProfileResult, error) {
 			Exec:      totals[k+1][obsv.PhaseExec],
 			Wait:      totals[k+1][obsv.PhaseWait],
 			Tx:        totals[k+1][obsv.PhaseTx],
-			Spin:      m.Stages[k].SpinWait,
 			Park:      m.Stages[k].ParkWait,
-			Spins:     m.Stages[k].Spins,
 			Parks:     m.Stages[k].Parks,
 			Stalls:    m.Stages[k].Stalls,
 		}
@@ -164,14 +157,14 @@ func ProfileTable(r *ProfileResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Profile: %s PPS, %d stage(s), batch %d — %d packets, %.0f pkt/s\n",
 		r.PPS, r.Degree, r.Batch, r.Packets, r.PktPerS)
-	fmt.Fprintf(&b, "  %-6s %10s %7s | %12s %7s %12s %12s %7s | %12s %12s\n",
-		"stage", "model", "share", "exec", "share", "wait", "tx", "stalls", "spin", "park")
+	fmt.Fprintf(&b, "  %-6s %10s %7s | %12s %7s %12s %12s %7s | %12s\n",
+		"stage", "model", "share", "exec", "share", "wait", "tx", "stalls", "park")
 	for _, s := range r.Stages {
-		fmt.Fprintf(&b, "  %-6d %10d %6.1f%% | %12v %6.1f%% %12v %12v %7d | %12v %12v\n",
+		fmt.Fprintf(&b, "  %-6d %10d %6.1f%% | %12v %6.1f%% %12v %12v %7d | %12v\n",
 			s.Stage, s.ModelCost, 100*s.ModelShare,
 			s.Exec.Round(time.Microsecond), 100*s.HostShare,
 			s.Wait.Round(time.Microsecond), s.Tx.Round(time.Microsecond), s.Stalls,
-			s.Spin.Round(time.Microsecond), s.Park.Round(time.Microsecond))
+			s.Park.Round(time.Microsecond))
 	}
 	return b.String()
 }

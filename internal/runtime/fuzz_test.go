@@ -54,14 +54,6 @@ func FuzzServeVsOracle(f *testing.F) {
 		// A seed-derived per-cut fusion mask (bit k fuses cut k). Drawn after
 		// the packet bytes so earlier corpus seeds keep their exact traffic.
 		fuseBits := rng.Uint64()
-		// The ring implementation is seed-derived too (drawn after the mask,
-		// same corpus-stability rule), so the fuzz corpus exercises the
-		// lock-free SPSC ring and the channel oracle interchangeably — any
-		// observable difference between them is a finding.
-		ringImpl := runtime.RingSPSC
-		if rng.Intn(2) == 1 {
-			ringImpl = runtime.RingChan
-		}
 
 		seq, err := interp.RunSequential(prog.Clone(), interp.NewWorld(packets), iters)
 		if err != nil {
@@ -89,7 +81,6 @@ func FuzzServeVsOracle(f *testing.F) {
 						cfg.Backend = backend
 						cfg.Shards = shards
 						cfg.FuseCuts = fuse
-						cfg.Ring = ringImpl
 						m, err := runtime.Serve(context.Background(), res.Stages, interp.NewWorld(nil),
 							runtime.Packets(packets), cfg)
 						if err != nil {

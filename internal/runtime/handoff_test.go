@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/netbench"
@@ -115,4 +116,37 @@ func TestTokenHandoffLayout(t *testing.T) {
 	if off := unsafe.Offsetof(tok.iter); off+unsafe.Sizeof(tok.iter) > line {
 		t.Errorf("token.iter ends at byte %d, past the first cache line", off+unsafe.Sizeof(tok.iter))
 	}
+}
+
+// TestStageProbePadding pins the probe padding: probes sit in one slice,
+// so a size that is not a whole number of cache lines would put two
+// replicas' single-writer counters on a shared line.
+func TestStageProbePadding(t *testing.T) {
+	if n := unsafe.Sizeof(stageProbe{}); n%64 != 0 {
+		t.Errorf("stageProbe is %d bytes, not a multiple of the 64-byte cache line", n)
+	}
+}
+
+// BenchmarkRingHandoff measures what a saturated cut costs per ring entry:
+// two goroutines bounce one batch-32 entry through a pair of buffered
+// chan []*token rings, so every handoff finds its peer blocked and has to
+// wake it. One op is one round trip, which moves two entries;
+// fusion.go's ringSyncNs is half of it.
+func BenchmarkRingHandoff(b *testing.B) {
+	fwd := make(chan []*token, DefaultRingCapacity(costmodel.NNRing))
+	bwd := make(chan []*token, cap(fwd))
+	go func() {
+		for batch := range fwd {
+			bwd <- batch
+		}
+	}()
+	batch := make([]*token, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fwd <- batch
+		batch = <-bwd
+	}
+	b.StopTimer()
+	close(fwd)
 }

@@ -120,12 +120,12 @@ func (s *seqStream) next(done <-chan struct{}) (int, bool) {
 // lane sequence is recorded (in arrival = global order) and flushed before
 // any sub-batch moves.
 type scatterer struct {
-	rings []ring
+	rings []chan []*token
 	sq    *seqStream // nil: no paired fan-in downstream
 	pend  [][]*token // per-lane sub-batch scratch
 }
 
-func newScatterer(rings []ring, sq *seqStream) *scatterer {
+func newScatterer(rings []chan []*token, sq *seqStream) *scatterer {
 	return &scatterer{rings: rings, sq: sq, pend: make([][]*token, len(rings))}
 }
 
@@ -257,7 +257,7 @@ func (sc *scatterer) close() {
 		sc.sq.close()
 	}
 	for _, r := range sc.rings {
-		r.close()
+		close(r)
 	}
 }
 
@@ -267,7 +267,7 @@ func (sc *scatterer) close() {
 // here — they existed only to keep the sequence gap-free.
 type merger struct {
 	e     *engine
-	rings []ring
+	rings []chan []*token
 	sq    *seqStream
 	cur   [][]*token
 	pos   []int
@@ -317,19 +317,12 @@ func (mg *merger) pop(lane int) *token {
 			mg.e.putBatch(mg.cur[lane])
 			mg.cur[lane] = nil
 		}
-		b, ok, ready := mg.rings[lane].tryRecv()
-		if !ready {
-			var canceled bool
-			b, ok, canceled = mg.rings[lane].recv(mg.e.ictx.Done(), &mg.probe.rxWait)
-			if canceled {
-				return nil
-			}
-		}
+		b, ok := recv(mg.rings[lane], mg.e.ictx.Done(), &mg.probe.rxWait)
 		if !ok {
 			return nil
 		}
 		mg.cur[lane], mg.pos[lane] = b, 0
-		mg.probe.occSum.Add(int64(mg.rings[lane].len()))
+		mg.probe.occSum.Add(int64(len(mg.rings[lane])))
 		mg.probe.occSamples.Add(1)
 	}
 	t := mg.cur[lane][mg.pos[lane]]

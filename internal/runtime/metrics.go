@@ -32,16 +32,14 @@ type StageStats struct {
 	// Busy is the time spent executing iterations (the ns/stage counter),
 	// excluding ring waits. Under sharding it is the sum across replicas.
 	Busy time.Duration
-	// Spins and Parks count blocked ring waits by how they resolved:
-	// still in the ring's spin/yield phase, or after parking on its
-	// notifier. Under RingChan every blocked wait parks immediately (the
-	// channel runtime has no spin phase), so Spins stays zero there.
-	Spins, Parks int64
-	// SpinWait and ParkWait split the stage's total blocked-on-ring time
-	// by the same phases; SpinWait + ParkWait is the stage's whole
-	// handoff wait. TxWait and RxWait split the same total the other way:
-	// time blocked pushing into a full downstream ring versus time
-	// blocked on an empty upstream ring.
+	// Parks counts blocked ring waits and ParkWait is their total time,
+	// the stage's whole handoff wait. A ring is a buffered channel, and
+	// a blocked channel operation parks in the scheduler at once, so
+	// Spins and SpinWait — the spin phase of a spinning ring — are always
+	// 0; they stay for callers that report the split. TxWait and RxWait
+	// split the same total the other way: time blocked pushing into a
+	// full downstream ring versus time blocked on an empty upstream ring.
+	Spins, Parks       int64
 	SpinWait, ParkWait time.Duration
 	TxWait, RxWait     time.Duration
 	// Replicas is the number of concurrent replicas the stage ran with: 1

@@ -1,96 +1,21 @@
 package runtime
 
-// The ring abstraction: every inter-goroutine batch conduit in the serve
-// engine — inter-stage cut rings, the dispatcher's head rings, scatter
-// and fan-in lane rings — is a `ring`, realized either by the lock-free
-// SPSC ring in internal/spsc (the default) or by a buffered Go channel
-// (the original implementation, retained as the behavioural oracle and
-// for hosts where channel semantics win; see DESIGN.md §15). Both
-// realizations carry the same protocol the engine was built on: exactly
-// one producer and one consumer per ring, producer-side close as the
-// end-of-stream signal, drain-then-exit on close, and cancellation via
-// the run's done channel on every blocking operation.
+// Every inter-goroutine batch conduit in the serve engine — inter-stage
+// cut rings, the dispatcher's head rings, scatter and fan-in lane rings,
+// and the batch free list — is a buffered Go channel of batches
+// (chan []*token). Cut, head and lane rings hold exactly the configured
+// RingCapacity entries, the saturation point the overload watermarks
+// count against. A cut ring has one producer and one consumer;
+// producer-side close is the end-of-stream signal, the consumer drains
+// then exits, and every blocking operation selects on the run's done
+// channel so cancellation unblocks it (DESIGN.md §6). The helpers below
+// time only the blocked side of a handoff into the caller's waitCounter:
+// a handoff that completes at once costs no clock read.
 
-import (
-	"fmt"
-	"time"
+import "time"
 
-	"repro/internal/spsc"
-)
-
-// RingImpl selects the inter-stage ring implementation Serve wires
-// between stage goroutines.
-type RingImpl int
-
-const (
-	// RingSPSC is the default: the lock-free single-producer/single-
-	// consumer ring in internal/spsc, with the adaptive spin → yield →
-	// park wait strategy. Handoffs cost two uncontended atomics instead
-	// of a channel's mutex, and blocked sides spin briefly before
-	// parking.
-	RingSPSC RingImpl = iota
-	// RingChan realizes every ring as a buffered Go channel — the
-	// original implementation, kept as the behavioural oracle for
-	// differential tests and for workloads where native channel handoff
-	// beats the spin/park machinery (strict single-entry alternation;
-	// see DESIGN.md §15).
-	RingChan
-)
-
-// String names the ring implementation the way the CLI flags spell it.
-func (r RingImpl) String() string {
-	switch r {
-	case RingSPSC:
-		return "spsc"
-	case RingChan:
-		return "chan"
-	}
-	return fmt.Sprintf("ring(%d)", int(r))
-}
-
-// ring is the engine-facing conduit contract. Exactly one goroutine may
-// produce (trySend/send/sendTick/close) and one consume (tryRecv/recv);
-// len is readable from anywhere. Blocked time is split into the caller's
-// spin/park wait counters.
-type ring interface {
-	// trySend delivers b without blocking; false means the ring is full.
-	trySend(b []*token) bool
-	// send blocks until b is delivered or done fires (returns false).
-	send(b []*token, done <-chan struct{}, w *spsc.WaitCounters) bool
-	// sendTick is send bounded by one overloadTick: (false, false) means
-	// the tick elapsed with the ring still full — re-probe or engage the
-	// overload policy — and (false, true) that done fired.
-	sendTick(b []*token, done <-chan struct{}, w *spsc.WaitCounters) (sent, canceled bool)
-	// tryRecv claims a batch without blocking. ready is false when
-	// nothing was available; ready && !ok means the ring is closed and
-	// drained.
-	tryRecv() (b []*token, ok, ready bool)
-	// recv blocks until a batch arrives (b, true, false), the ring is
-	// closed and drained (nil, false, false), or done fires (nil, false,
-	// true).
-	recv(done <-chan struct{}, w *spsc.WaitCounters) (b []*token, ok, canceled bool)
-	// close ends the stream; producer side only.
-	close()
-	// len is the current occupancy in batches (racy by nature).
-	len() int
-}
-
-// newRing builds one conduit of the configured implementation with the
-// configured capacity.
-func (e *engine) newRing() ring {
-	if e.cfg.Ring == RingChan {
-		return chanRing(make(chan []*token, e.cfg.RingCapacity))
-	}
-	return spscRing{r: spsc.New[[]*token](e.cfg.RingCapacity, spsc.DefaultStrategy())}
-}
-
-// chanRing adapts a buffered channel to the ring contract. Every blocked
-// operation parks in the runtime's channel machinery immediately, so its
-// wait accounting lands entirely in the park columns — the spin columns
-// are meaningful only under RingSPSC.
-type chanRing chan []*token
-
-func (c chanRing) trySend(b []*token) bool {
+// trySend delivers b on c without blocking; false means c is full.
+func trySend(c chan<- []*token, b []*token) bool {
 	select {
 	case c <- b:
 		return true
@@ -99,94 +24,51 @@ func (c chanRing) trySend(b []*token) bool {
 	}
 }
 
-func (c chanRing) send(b []*token, done <-chan struct{}, w *spsc.WaitCounters) bool {
+// sendWait blocks until b is delivered on c (true) or done fires
+// (false), timing the wait into w.
+func sendWait(c chan<- []*token, b []*token, done <-chan struct{}, w *waitCounter) (sent bool) {
 	start := time.Now()
 	select {
 	case c <- b:
-		w.Parked(time.Since(start))
-		return true
+		sent = true
 	case <-done:
-		w.Parked(time.Since(start))
-		return false
 	}
+	w.add(start)
+	return sent
 }
 
-func (c chanRing) sendTick(b []*token, done <-chan struct{}, w *spsc.WaitCounters) (sent, canceled bool) {
+// sendTick is sendWait bounded by one overloadTick: (false, false) means
+// the tick elapsed with c still full — re-probe or engage the overload
+// policy — and (false, true) that done fired.
+func sendTick(c chan<- []*token, b []*token, done <-chan struct{}, w *waitCounter) (sent, canceled bool) {
 	start := time.Now()
 	tick := time.NewTimer(overloadTick)
-	defer tick.Stop()
 	select {
 	case c <- b:
-		w.Parked(time.Since(start))
-		return true, false
+		sent = true
 	case <-done:
-		w.Parked(time.Since(start))
-		return false, true
+		canceled = true
 	case <-tick.C:
-		w.Parked(time.Since(start))
-		return false, false
 	}
+	tick.Stop()
+	w.add(start)
+	return sent, canceled
 }
 
-func (c chanRing) tryRecv() (b []*token, ok, ready bool) {
+// recv takes the next batch from c; ok is false once c is closed and
+// drained or done fires first. A waiting batch is taken without a clock
+// read; a blocked receive is timed into w.
+func recv(c <-chan []*token, done <-chan struct{}, w *waitCounter) (b []*token, ok bool) {
 	select {
 	case b, ok = <-c:
-		return b, ok, true
+		return b, ok
 	default:
-		return nil, false, false
 	}
-}
-
-func (c chanRing) recv(done <-chan struct{}, w *spsc.WaitCounters) (b []*token, ok, canceled bool) {
 	start := time.Now()
 	select {
 	case b, ok = <-c:
-		w.Parked(time.Since(start))
-		return b, ok, false
 	case <-done:
-		w.Parked(time.Since(start))
-		return nil, false, true
 	}
+	w.add(start)
+	return b, ok
 }
-
-func (c chanRing) close() { close(c) }
-
-func (c chanRing) len() int { return len(c) }
-
-// spscRing adapts the lock-free ring to the engine contract.
-type spscRing struct {
-	r *spsc.Ring[[]*token]
-}
-
-func (s spscRing) trySend(b []*token) bool { return s.r.TryPush(b) }
-
-func (s spscRing) send(b []*token, done <-chan struct{}, w *spsc.WaitCounters) bool {
-	return s.r.Push(b, done, w)
-}
-
-func (s spscRing) sendTick(b []*token, done <-chan struct{}, w *spsc.WaitCounters) (sent, canceled bool) {
-	return s.r.PushTimeout(b, done, overloadTick, w)
-}
-
-func (s spscRing) tryRecv() (b []*token, ok, ready bool) {
-	if b, ok = s.r.TryPop(); ok {
-		return b, true, true
-	}
-	if s.r.Closed() {
-		// Close is sequenced after the producer's final publish: one more
-		// claim attempt observes anything racing in ahead of the close.
-		if b, ok = s.r.TryPop(); ok {
-			return b, true, true
-		}
-		return nil, false, true
-	}
-	return nil, false, false
-}
-
-func (s spscRing) recv(done <-chan struct{}, w *spsc.WaitCounters) (b []*token, ok, canceled bool) {
-	return s.r.Pop(done, w)
-}
-
-func (s spscRing) close() { s.r.Close() }
-
-func (s spscRing) len() int { return s.r.Len() }

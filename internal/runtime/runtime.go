@@ -60,7 +60,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/obsv"
 	"repro/internal/runtime/fault"
-	"repro/internal/spsc"
 )
 
 // Backend selects the stage-execution substrate Serve drives.
@@ -111,14 +110,7 @@ type Config struct {
 	Channel costmodel.ChannelKind
 	// RingCapacity overrides the per-ring entry count (batches, not
 	// packets). 0 selects the Channel default: 8 for NN, 64 for scratch.
-	// Under RingSPSC the capacity is rounded up to the next power of two.
 	RingCapacity int
-	// Ring selects the inter-stage ring implementation: the lock-free
-	// SPSC ring (RingSPSC, the default) or the buffered-channel oracle
-	// (RingChan). Both realize identical handoff semantics — producer
-	// close as end-of-stream, drain-then-exit, cancellation-aware blocking
-	// — so the served trace is byte-identical either way.
-	Ring RingImpl
 	// Batch is the number of iterations carried per ring entry; batching
 	// amortizes ring synchronization over several packets. 0 means 1.
 	Batch int
@@ -140,7 +132,7 @@ type Config struct {
 
 	// FuseCuts marks pipeline cuts to realize by fusion: when FuseCuts[k]
 	// is true, stages k+1 and k+2 run in one goroutine with the live-set
-	// handoff folded into token-buffer moves instead of an SPSC ring —
+	// handoff folded into token-buffer moves instead of a ring —
 	// the realization for cuts whose ring tax exceeds their pipeline-bound
 	// gain. nil (the default) fuses nothing. Entries past the last cut are
 	// ignored, and a marked cut is only fused when both sides have the
@@ -219,9 +211,6 @@ func (c Config) validate() error {
 	}
 	if c.RingCapacity < 0 {
 		return fmt.Errorf("%w: %d", errs.ErrBadRing, c.RingCapacity)
-	}
-	if c.Ring < RingSPSC || c.Ring > RingChan {
-		return fmt.Errorf("%w: %d", errs.ErrBadRingImpl, int(c.Ring))
 	}
 	if c.Batch < 0 {
 		return fmt.Errorf("%w: %d", errs.ErrBadBatch, c.Batch)
@@ -393,12 +382,12 @@ type engine struct {
 	cfg      Config
 	src      Source
 	plan     *shardPlan
-	fused    []bool           // cut -> realized by fusion (aligned + requested)
-	runners  [][]stageRunner  // stage -> replicas
-	rings    [][]ring         // cut -> lane rings
-	headRing []ring           // dispatcher -> stage-0 replicas (nil without a dispatcher)
-	seqs     []*seqStream     // fan-in sequence side-channels
-	cols     []*sinkCollector // per sink replica, when the final segment is sharded
+	fused    []bool            // cut -> realized by fusion (aligned + requested)
+	runners  [][]stageRunner   // stage -> replicas
+	rings    [][]chan []*token // cut -> lane rings
+	headRing []chan []*token   // dispatcher -> stage-0 replicas (nil without a dispatcher)
+	seqs     []*seqStream      // fan-in sequence side-channels
+	cols     []*sinkCollector  // per sink replica, when the final segment is sharded
 	m        *Metrics
 	inj      *fault.Injector
 	injs     []*fault.Injector // per-lane injector views; injs[0] is inj
@@ -424,18 +413,14 @@ type engine struct {
 	batchPool sync.Pool
 
 	// freeBatches recycles whole retired batches — reset tokens still
-	// attached — from the sink back to the source in one ring
-	// operation per batch, replacing 2×Batch sync.Pool operations with
-	// one synchronization on the serve hot path. It is a ring like any
-	// cut when the sink is a single goroutine (the SPSC contract holds:
-	// the sink produces, the head/dispatcher consumes); a sharded sink
-	// has P recycling producers, so freeBatchesMP — a buffered channel —
-	// takes its place there. spare is the source side's current stash
-	// (head/dispatcher goroutine only); the pools absorb overflow and
-	// the stragglers recycled off the hot path (quarantines, tombstones).
-	freeBatches   ring
-	freeBatchesMP chan []*token
-	spare         []*token
+	// attached — from the sink replica(s) back to the source in one
+	// channel operation per batch, replacing 2×Batch sync.Pool operations
+	// with one synchronization on the serve hot path. spare is the
+	// source side's current stash (head/dispatcher goroutine only); the
+	// pools absorb overflow and the stragglers recycled off the hot path
+	// (quarantines, tombstones).
+	freeBatches chan []*token
+	spare       []*token
 
 	// Trace accumulation. The sink stage's goroutine is the sole writer:
 	// events land in fixed-size chunks (traceTail is the one being
@@ -640,14 +625,9 @@ func (e *engine) getToken() *token {
 // the head/dispatcher goroutine calls it.
 func (e *engine) takeToken() *token {
 	if len(e.spare) == 0 {
-		if e.freeBatchesMP != nil {
-			select {
-			case sb := <-e.freeBatchesMP:
-				e.spare = sb
-			default:
-			}
-		} else if sb, ok, _ := e.freeBatches.tryRecv(); ok {
-			e.spare = sb
+		select {
+		case e.spare = <-e.freeBatches:
+		default:
 		}
 		if len(e.spare) == 0 {
 			return e.getToken()
@@ -698,9 +678,7 @@ func (e *engine) putBatch(b []*token) {
 // recycleBatch resets a retired batch's tokens in place and hands the
 // whole batch back to the source through the free list — one ring
 // operation instead of per-token pool traffic. Overflow (or a full
-// freelist) falls back to the pools. Only the sink goroutine(s) call it:
-// a single sink recycles through the SPSC freeBatches ring, sharded sink
-// replicas through the multi-producer channel.
+// freelist) falls back to the pools. Only the sink goroutine(s) call it.
 func (e *engine) recycleBatch(b []*token) {
 	if len(b) == 0 {
 		e.putBatch(b)
@@ -709,13 +687,7 @@ func (e *engine) recycleBatch(b []*token) {
 	for _, t := range b {
 		t.reset()
 	}
-	if e.freeBatchesMP != nil {
-		select {
-		case e.freeBatchesMP <- b:
-			return
-		default:
-		}
-	} else if e.freeBatches.trySend(b) {
+	if trySend(e.freeBatches, b) {
 		return
 	}
 	for _, t := range b {
@@ -739,7 +711,7 @@ func (e *engine) span(stage int, iter int64, n int, phase obsv.Phase, start time
 // junction, or this replica's private lane into a fan-in) or a scatterer
 // (1 -> P junction).
 type outPort struct {
-	ring ring
+	ring chan []*token
 	sc   *scatterer
 }
 
@@ -788,13 +760,13 @@ func (o *outPort) close() {
 		o.sc.close()
 		return
 	}
-	o.ring.close()
+	close(o.ring)
 }
 
 // trySend is the non-blocking ring put; on success the batch (and its
 // accounting) belongs to the consumer.
-func (e *engine) trySend(out ring, b []*token, p *stageProbe) bool {
-	if out.trySend(b) {
+func (e *engine) trySend(out chan []*token, b []*token, p *stageProbe) bool {
+	if trySend(out, b) {
 		p.out.Add(int64(len(b)))
 		return true
 	}
@@ -807,25 +779,24 @@ func (e *engine) trySend(out ring, b []*token, p *stageProbe) bool {
 // then engages the policy — dropping the batch (Shed) or marking it
 // degraded and forwarding it for pass-through delivery (Degrade). It
 // returns false when the run was canceled mid-wait.
-func (e *engine) sendRing(out ring, b []*token, lc *laneCtx) bool {
+func (e *engine) sendRing(out chan []*token, b []*token, lc *laneCtx) bool {
 	p := lc.probe
 	if e.inj != nil {
 		lc.inj.BeforeSend(e.ictx, lc.s+1, b[0].iter)
 	}
-	if out.trySend(b) {
-		p.out.Add(int64(len(b)))
+	if e.trySend(out, b, p) {
 		return true
 	}
 	p.stalls.Add(1)
 	if e.cfg.Overload == OverloadBlock {
-		if !out.send(b, e.ictx.Done(), &p.txWait) {
+		if !sendWait(out, b, e.ictx.Done(), &p.txWait) {
 			return false
 		}
 		p.out.Add(int64(len(b)))
 		return true
 	}
 	for probe := 0; probe < e.cfg.Watermark; probe++ {
-		sent, canceled := out.sendTick(b, e.ictx.Done(), &p.txWait)
+		sent, canceled := sendTick(out, b, e.ictx.Done(), &p.txWait)
 		if sent {
 			p.out.Add(int64(len(b)))
 			return true
@@ -859,7 +830,7 @@ func (e *engine) sendRing(out ring, b []*token, lc *laneCtx) bool {
 		// Release overload gates before the blocking put: a chaos schedule
 		// may hold the consumer until this degradation is observed.
 		e.inj.NoteOverload(n)
-		if !out.send(b, e.ictx.Done(), &p.txWait) {
+		if !sendWait(out, b, e.ictx.Done(), &p.txWait) {
 			return false
 		}
 		p.out.Add(int64(len(b)))
@@ -1184,7 +1155,7 @@ loop:
 		}
 	}
 	for _, r := range e.headRing {
-		r.close()
+		close(r)
 	}
 	if sq != nil {
 		sq.close()
@@ -1216,7 +1187,7 @@ func (e *engine) dispFlush(pend [][]*token, lane int, p *stageProbe) bool {
 				pend[j] = e.getBatch()
 			}
 		}
-		sent, canceled := e.headRing[lane].sendTick(pend[lane], e.ictx.Done(), &p.txWait)
+		sent, canceled := sendTick(e.headRing[lane], pend[lane], e.ictx.Done(), &p.txWait)
 		if sent {
 			p.out.Add(int64(len(pend[lane])))
 			return true
@@ -1240,7 +1211,7 @@ func (e *engine) stageLoop(segs []*laneCtx) {
 	tail := segs[len(segs)-1]
 	s := lc.s
 	p := lc.probe
-	var in ring
+	var in chan []*token
 	var mg *merger
 	switch {
 	case s == 0:
@@ -1270,22 +1241,12 @@ func (e *engine) stageLoop(segs []*laneCtx) {
 			b, more = mg.nextBatch(e.cfg.Batch)
 			last = !more
 		} else {
-			// Fast path first: a waiting batch costs no clock reads. The
-			// blocking path splits its wait into the probe's spin/park
-			// columns.
-			var ok, ready bool
-			b, ok, ready = in.tryRecv()
-			if !ready {
-				var canceled bool
-				b, ok, canceled = in.recv(e.ictx.Done(), &p.rxWait)
-				if canceled {
-					return
-				}
-			}
+			var ok bool
+			b, ok = recv(in, e.ictx.Done(), &p.rxWait)
 			if !ok {
 				return
 			}
-			p.occSum.Add(int64(in.len()))
+			p.occSum.Add(int64(len(in)))
 			p.occSamples.Add(1)
 		}
 		if len(b) == 0 {
@@ -1399,9 +1360,7 @@ func (e *engine) wireObservability(d int) {
 		reg.Func(prefix+"quarantined", func() int64 { return l.stageStats(k).Quarantined })
 		reg.Func(prefix+"retries", func() int64 { return l.stageStats(k).Retries })
 		reg.Func(prefix+"busy_ns", func() int64 { return int64(l.stageStats(k).Busy) })
-		reg.Func(prefix+"spins", func() int64 { return l.stageStats(k).Spins })
 		reg.Func(prefix+"parks", func() int64 { return l.stageStats(k).Parks })
-		reg.Func(prefix+"spin_ns", func() int64 { return int64(l.stageStats(k).SpinWait) })
 		reg.Func(prefix+"park_ns", func() int64 { return int64(l.stageStats(k).ParkWait) })
 		reg.Func(prefix+"ring_occ_milli", func() int64 {
 			st := l.stageStats(k)
@@ -1505,7 +1464,7 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 		plan:     plan,
 		fused:    effectiveFusion(cfg.FuseCuts, plan, D),
 		runners:  runners,
-		rings:    make([][]ring, D-1),
+		rings:    make([][]chan []*token, D-1),
 		m:        &Metrics{},
 		inj:      fault.NewInjector(cfg.Faults, D),
 		shardKey: key,
@@ -1521,32 +1480,25 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 	e.wireObservability(D)
 	e.tokPool.New = func() any { return &token{ctx: interp.NewIterCtx()} }
 	e.batchPool.New = func() any { return make([]*token, 0, cfg.Batch) }
-	// The batch free list is a ring like any cut when exactly one sink
-	// goroutine recycles into it; a sharded sink has P recycling
-	// producers, which breaks the SPSC contract, so it falls back to a
-	// multi-producer channel there (and under RingChan uses the channel
-	// unconditionally — the oracle configuration stays all-channel).
-	freeCap := 4 + plan.width()*(cfg.RingCapacity+2)
-	if cfg.Ring == RingSPSC && plan.reps[D-1] == 1 {
-		e.freeBatches = spscRing{r: spsc.New[[]*token](freeCap, spsc.DefaultStrategy())}
-	} else {
-		e.freeBatchesMP = make(chan []*token, freeCap)
-	}
+	// The free list holds every batch that can be in flight at once — a
+	// full ring per lane plus the batch each end of it holds — so steady
+	// state never spills recycled batches to the pools.
+	e.freeBatches = make(chan []*token, 4+plan.width()*(cfg.RingCapacity+2))
 	for k := range e.rings {
 		if e.fused[k] {
 			// A fused cut has no ring: its stages share a goroutine and
 			// hand the live set over inside the token.
 			continue
 		}
-		e.rings[k] = make([]ring, plan.lanes(k))
+		e.rings[k] = make([]chan []*token, plan.lanes(k))
 		for j := range e.rings[k] {
-			e.rings[k][j] = e.newRing()
+			e.rings[k][j] = make(chan []*token, cfg.RingCapacity)
 		}
 	}
 	if hasDisp {
-		e.headRing = make([]ring, plan.reps[0])
+		e.headRing = make([]chan []*token, plan.reps[0])
 		for j := range e.headRing {
-			e.headRing[j] = e.newRing()
+			e.headRing[j] = make(chan []*token, cfg.RingCapacity)
 		}
 	}
 	e.seqs = make([]*seqStream, plan.nSeqs)

@@ -5,16 +5,13 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/spsc"
 )
 
 // stageProbe is the live form of one stage replica's counters: each field
 // is an atomic written by the owning goroutine and readable at any moment
 // by Live.Snapshot, the registry's computed gauges, and the periodic
-// logger. txWait accumulates ring-full (transmit-side) blocked time,
-// rxWait ring-empty (receive-side) blocked time, each split into the
-// spin/park phases by the ring's wait machinery. The padding keeps
+// logger. txWait accumulates ring-full (transmit-side) blocked waits,
+// rxWait ring-empty (receive-side) ones. The padding keeps
 // neighboring replicas' probes off one cache line, so the single-writer
 // updates never false-share.
 type stageProbe struct {
@@ -22,8 +19,21 @@ type stageProbe struct {
 	shed, degraded, quarantined atomic.Int64
 	retries, busyNs             atomic.Int64
 	occSum, occSamples          atomic.Int64
-	txWait, rxWait              spsc.WaitCounters
-	_                           [48]byte
+	txWait, rxWait              waitCounter
+	_                           [16]byte
+}
+
+// waitCounter accumulates one side's blocked ring waits: how many there
+// were and their total time. A blocked channel operation parks in the
+// scheduler at once, so StageStats reports these as Parks and ParkWait.
+type waitCounter struct {
+	n, ns atomic.Int64
+}
+
+// add records one blocked wait that began at start.
+func (w *waitCounter) add(start time.Time) {
+	w.n.Add(1)
+	w.ns.Add(int64(time.Since(start)))
 }
 
 // stats converts the probe's current values into the exported snapshot
@@ -40,12 +50,10 @@ func (p *stageProbe) stats(stage int) StageStats {
 		Quarantined: p.quarantined.Load(),
 		Retries:     p.retries.Load(),
 		Busy:        time.Duration(p.busyNs.Load()),
-		Spins:       p.txWait.Spins.Load() + p.rxWait.Spins.Load(),
-		Parks:       p.txWait.Parks.Load() + p.rxWait.Parks.Load(),
-		SpinWait:    time.Duration(p.txWait.SpinNs.Load() + p.rxWait.SpinNs.Load()),
-		ParkWait:    time.Duration(p.txWait.ParkNs.Load() + p.rxWait.ParkNs.Load()),
-		TxWait:      time.Duration(p.txWait.SpinNs.Load() + p.txWait.ParkNs.Load()),
-		RxWait:      time.Duration(p.rxWait.SpinNs.Load() + p.rxWait.ParkNs.Load()),
+		Parks:       p.txWait.n.Load() + p.rxWait.n.Load(),
+		ParkWait:    time.Duration(p.txWait.ns.Load() + p.rxWait.ns.Load()),
+		TxWait:      time.Duration(p.txWait.ns.Load()),
+		RxWait:      time.Duration(p.rxWait.ns.Load()),
 		occSum:      p.occSum.Load(),
 		occSamples:  p.occSamples.Load(),
 	}
@@ -111,9 +119,7 @@ func (l *Live) stageStats(s int) StageStats {
 		agg.Quarantined += st.Quarantined
 		agg.Retries += st.Retries
 		agg.Busy += st.Busy
-		agg.Spins += st.Spins
 		agg.Parks += st.Parks
-		agg.SpinWait += st.SpinWait
 		agg.ParkWait += st.ParkWait
 		agg.TxWait += st.TxWait
 		agg.RxWait += st.RxWait
@@ -128,9 +134,7 @@ func (l *Live) stageStats(s int) StageStats {
 		agg.In = dst.In
 		agg.Stalls += dst.Stalls
 		agg.Quarantined += dst.Quarantined
-		agg.Spins += dst.Spins
 		agg.Parks += dst.Parks
-		agg.SpinWait += dst.SpinWait
 		agg.ParkWait += dst.ParkWait
 		agg.TxWait += dst.TxWait
 		agg.RxWait += dst.RxWait

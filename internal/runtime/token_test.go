@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/interp"
-	"repro/internal/spsc"
 )
 
 // dirtyToken fills every per-iteration field of a token the way a stage
@@ -83,7 +82,7 @@ func TestTokenResetClearsIterationState(t *testing.T) {
 // takeToken pristine and in deferred-events mode, exactly like the
 // per-token pool path they replace on the serve hot loop.
 func TestBatchRecycleNeverLeaks(t *testing.T) {
-	e := &engine{freeBatches: spscRing{r: spsc.New[[]*token](2, spsc.DefaultStrategy())}}
+	e := &engine{freeBatches: make(chan []*token, 2)}
 	e.tokPool.New = func() any { return &token{ctx: interp.NewIterCtx()} }
 	e.batchPool.New = func() any { return make([]*token, 0, 8) }
 	for round := 0; round < 50; round++ {

@@ -76,9 +76,6 @@ var (
 	// ErrBadBackend is returned when WithBackend names an unknown
 	// stage-execution backend.
 	ErrBadBackend = errs.ErrBadBackend
-	// ErrBadRingImpl is returned when WithRingImpl names an unknown
-	// inter-stage ring implementation.
-	ErrBadRingImpl = errs.ErrBadRingImpl
 	// ErrBadShards is returned when WithShards falls outside 0..MaxShards.
 	ErrBadShards = errs.ErrBadShards
 	// ErrBadObjective is returned when WithObjective carries a malformed
@@ -179,8 +176,6 @@ type config struct {
 	onLive func(*runtime.Live)
 	// execution backend (serve)
 	backend Backend
-	// ring implementation (serve)
-	ringImpl RingImpl
 	// sharding (serve)
 	shards   int
 	shardKey func([]byte) uint64
@@ -221,7 +216,6 @@ const (
 	optFaults
 	optObserver
 	optBackend
-	optRingImpl
 	optShards
 	optShardKey
 	optObjective
@@ -236,7 +230,7 @@ var optName = [numOpts]string{
 	"WithBudget", "WithMaxPEs", "WithWorkers", "WithThreads",
 	"WithArrivalInterval", "WithIterations", "WithBatch", "WithWorld",
 	"WithOverload", "WithWatermark", "WithDeadline", "WithRetry",
-	"WithFaults", "WithObserver", "WithBackend", "WithRingImpl", "WithShards",
+	"WithFaults", "WithObserver", "WithBackend", "WithShards",
 	"WithShardKey", "WithObjective", "WithAutotune", "WithFusion",
 	"WithSource",
 }
@@ -264,8 +258,8 @@ var (
 	scopeSim = scopeOf(optArch, optRing, optThreads, optArrival, optIterations)
 	scopeSrv = scopeOf(optRing, optBatch, optWorld, optOverload, optWatermark,
 		optDeadline, optRetry, optFaults, optObserver, optBackend,
-		optRingImpl, optShards, optShardKey, optObjective, optAutotune,
-		optFusion, optSource)
+		optShards, optShardKey, optObjective, optAutotune, optFusion,
+		optSource)
 )
 
 // scopeName labels a scope in option-misuse errors.
@@ -300,7 +294,6 @@ var scopeName = map[scope]string{
 //	WithFaults                        yes                -       -        yes
 //	WithObserver                      yes                -       -        yes
 //	WithBackend                       yes                -       -        yes
-//	WithRingImpl                      yes                -       -        yes
 //	WithShards                        yes                -       -        yes
 //	WithShardKey                      yes                -       -        yes
 //	WithObjective                     yes                -       -        yes
@@ -418,18 +411,6 @@ func WithObserver(o *Observer) Option { return opt(optObserver, func(c *config) 
 // byte-identical traces; the compiled backend merely gets there faster.
 func WithBackend(b Backend) Option { return opt(optBackend, func(c *config) { c.backend = b }) }
 
-// WithRingImpl selects the inter-stage ring implementation Serve hands
-// batches across cuts with: RingSPSC (default — the lock-free
-// single-producer/single-consumer ring with adaptive spin-then-park
-// waits) or RingChan (buffered Go channels, retained as the differential
-// oracle). Both saturate at the same capacity and produce byte-identical
-// traces at every degree, batch, shard width, and fusion mode; the SPSC
-// ring merely pays fewer synchronization cycles per handoff. The
-// spin/park split each stage's blocked time resolves into surfaces
-// through StageStats, the pipeline.stageK.{spins,parks,spin_ns,park_ns}
-// gauges, and pipebench -experiment profile.
-func WithRingImpl(r RingImpl) Option { return opt(optRingImpl, func(c *config) { c.ringImpl = r }) }
-
 // WithShards sets the serve-path shard width P: stages without cross-flow
 // state run as P concurrent replicas, packets are dispatched to replicas
 // by a flow hash, and the output is merged back into exact source order —
@@ -479,7 +460,7 @@ const (
 	// this typically fuses the whole pipeline; on a wide host with
 	// balanced stages it fuses nothing.
 	FusionAuto FusionMode = iota
-	// FusionOff keeps every cut on an SPSC ring regardless of the cost
+	// FusionOff keeps every cut on a ring regardless of the cost
 	// model's verdict — the pre-fusion realization, retained as the
 	// baseline for A/B measurement.
 	FusionOff
@@ -576,9 +557,6 @@ func (c *config) validate() error {
 	if c.backend < BackendCompiled || c.backend > BackendInterp {
 		return fmt.Errorf("repro: %w: %d", ErrBadBackend, int(c.backend))
 	}
-	if c.ringImpl < RingSPSC || c.ringImpl > RingChan {
-		return fmt.Errorf("repro: %w: %d", ErrBadRingImpl, int(c.ringImpl))
-	}
 	if c.shards < 0 || c.shards > MaxShards {
 		return fmt.Errorf("repro: %w: %d (want 0..%d)", ErrBadShards, c.shards, MaxShards)
 	}
@@ -669,7 +647,6 @@ func (c *config) serveConfig() runtime.Config {
 		Obs:           c.obs,
 		OnLive:        c.onLive,
 		Backend:       c.backend,
-		Ring:          c.ringImpl,
 		Shards:        c.shards,
 		ShardKey:      c.shardKey,
 		Ingest:        c.ingestStats,
@@ -719,15 +696,6 @@ type Backend = runtime.Backend
 const (
 	BackendCompiled = runtime.BackendCompiled
 	BackendInterp   = runtime.BackendInterp
-)
-
-// RingImpl selects the inter-stage ring implementation; see WithRingImpl.
-type RingImpl = runtime.RingImpl
-
-// The inter-stage ring implementations.
-const (
-	RingSPSC = runtime.RingSPSC
-	RingChan = runtime.RingChan
 )
 
 // FaultReport is the serve run's loss accounting (Metrics.Faults).

@@ -49,7 +49,6 @@ var sentinelTable = []struct {
 	{"ErrTransientFault", repro.ErrTransientFault, errs.ErrTransientFault},
 	{"ErrBadObserver", repro.ErrBadObserver, errs.ErrBadObserver},
 	{"ErrBadBackend", repro.ErrBadBackend, errs.ErrBadBackend},
-	{"ErrBadRingImpl", repro.ErrBadRingImpl, errs.ErrBadRingImpl},
 	{"ErrBadShards", repro.ErrBadShards, errs.ErrBadShards},
 	{"ErrBadCalibration", repro.ErrBadCalibration, errs.ErrBadCalibration},
 	{"ErrBadObjective", repro.ErrBadObjective, errs.ErrBadObjective},
@@ -67,9 +66,9 @@ func TestSentinelsComplete(t *testing.T) {
 			t.Errorf("%s: empty message", s.name)
 		}
 	}
-	// internal/errs currently declares 35 sentinels; bump this alongside the
+	// internal/errs currently declares 34 sentinels; bump this alongside the
 	// table when adding one.
-	if len(sentinelTable) != 35 {
+	if len(sentinelTable) != 34 {
 		t.Errorf("sentinel table covers %d errors", len(sentinelTable))
 	}
 }
@@ -122,9 +121,6 @@ func TestOptionsRejectInvalid(t *testing.T) {
 		{"unknown execution backend",
 			[]repro.Option{repro.WithBackend(repro.Backend(99))},
 			repro.ErrBadBackend},
-		{"unknown ring implementation",
-			[]repro.Option{repro.WithRingImpl(repro.RingImpl(7))},
-			repro.ErrBadRingImpl},
 		{"negative shard count",
 			[]repro.Option{repro.WithShards(-1)}, repro.ErrBadShards},
 		{"huge shard count",
