@@ -45,6 +45,15 @@ echo "== ring gate: oracle matrix + wait accounting under -race -count=2"
 # race detector sees two fresh interleavings.
 go test -race -count=2 -run '^TestRing' ./internal/runtime
 
+echo "== unit-loop gate: sharded + fusion oracle matrices and exit-path leak checks under -race -count=2"
+# Every realization runs the one unit loop (source, ring or fan-in input;
+# one segment executor; sink collectors): the sharded and fusion matrices
+# demand byte-identical traces across dispatcher, scatter, fan-in and
+# fused shapes, and the leak table checks every Serve exit path (cancel,
+# source exhausted, fatal stage error) leaves no goroutine behind.
+# -count=2 gives the race detector two fresh interleavings.
+go test -race -count=2 -run '^(TestShardedServeMatchesOracle|TestFusionEquivalenceMatrix|TestServeCancelDrainsCleanly)$' ./internal/runtime
+
 echo "== fuzz smoke: 10s of FuzzServeVsOracle"
 # Differential fuzzing of the streaming runtime against the sequential
 # oracle; the checked-in corpus under internal/runtime/testdata/fuzz seeds

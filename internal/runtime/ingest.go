@@ -26,7 +26,7 @@ type IngestStats struct {
 // (sockets, paced replay). Serve calls BindContext with the run's
 // internal context before the first Next, so canceling the serve — or an
 // internal error tearing the run down — unblocks a pending read instead
-// of leaving the head goroutine stuck in a syscall.
+// of leaving the admitting goroutine stuck in a syscall.
 type ContextBinder interface {
 	BindContext(ctx context.Context)
 }

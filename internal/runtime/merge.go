@@ -1,9 +1,10 @@
 package runtime
 
-// The junction machinery of a sharded serve: sequence side-channels,
-// scatter producers, fan-in mergers, and the per-replica sink collectors
-// whose chunked traces are k-way merged after the join. The determinism
-// argument lives in shard.go's package comment.
+// The junction machinery of a sharded serve — sequence side-channels,
+// scatter producers, fan-in mergers — and the sink collectors every run
+// retires into, whose chunked traces are concatenated (one sink replica)
+// or k-way merged (several) after the join. The determinism argument
+// lives in shard.go's package comment.
 
 import (
 	"sync"
@@ -274,13 +275,14 @@ type merger struct {
 	probe *stageProbe
 }
 
-func (e *engine) newMerger(cut int, lc *laneCtx) *merger {
+// newMerger builds the fan-in that feeds stage s's single replica.
+func (e *engine) newMerger(s int, lc *laneCtx) *merger {
 	return &merger{
 		e:     e,
-		rings: e.rings[cut],
-		sq:    e.seqs[e.plan.faninSeq[cut]],
-		cur:   make([][]*token, len(e.rings[cut])),
-		pos:   make([]int, len(e.rings[cut])),
+		rings: e.rings[s],
+		sq:    e.seqs[e.plan.faninSeq[s-1]],
+		cur:   make([][]*token, len(e.rings[s])),
+		pos:   make([]int, len(e.rings[s])),
 		probe: lc.probe,
 	}
 }
@@ -330,17 +332,37 @@ func (mg *merger) pop(lane int) *token {
 	return t
 }
 
-// sinkCollector accumulates one sink replica's share of the trace when the
-// final segment is sharded: events in fixed-size chunks (the appendTrace
-// discipline, per replica) plus an (iteration, event-count) span index the
-// offline merge walks. Owned by its sink replica's goroutine until the
-// final join.
+// traceChunkEvents sizes the sink collectors' trace chunks: big enough to
+// amortize the per-chunk allocation, small enough to recycle address space
+// quickly.
+const traceChunkEvents = 1 << 15
+
+// sinkCollector accumulates one sink replica's share of the trace. Events
+// land in fixed-size chunks and are assembled with a single exact-size
+// allocation after the join: growing one flat slice by append instead
+// costs a realloc-and-copy per doubling, which at streaming scale
+// dominates the sink. An indexed collector — one of several sink
+// replicas, when the final segment is sharded — also keeps the
+// (iteration, event-count) span index the k-way merge walks; a lone
+// collector keeps none, since the merge is that index's only reader.
+// Owned by its sink replica's goroutine until the final join.
 type sinkCollector struct {
-	chunks [][]interp.Event
-	tail   []interp.Event
-	iters  []int64
-	counts []int32
-	total  int
+	chunks  [][]interp.Event
+	tail    []interp.Event
+	indexed bool
+	iters   []int64
+	counts  []int32
+	total   int
+}
+
+// newSinkCollectors returns the collectors of n sink replicas. Only
+// several need the span index the k-way merge walks.
+func newSinkCollectors(n int) []*sinkCollector {
+	cols := make([]*sinkCollector, n)
+	for j := range cols {
+		cols[j] = &sinkCollector{indexed: n > 1}
+	}
+	return cols
 }
 
 // add appends one retired iteration's events. Iterations that emitted
@@ -349,8 +371,10 @@ func (c *sinkCollector) add(iter int64, evs []interp.Event) {
 	if len(evs) == 0 {
 		return
 	}
-	c.iters = append(c.iters, iter)
-	c.counts = append(c.counts, int32(len(evs)))
+	if c.indexed {
+		c.iters = append(c.iters, iter)
+		c.counts = append(c.counts, int32(len(evs)))
+	}
 	c.total += len(evs)
 	for len(evs) > 0 {
 		if cap(c.tail) == 0 {
@@ -391,13 +415,14 @@ func (c *evCursor) take(n int, dst []interp.Event) []interp.Event {
 	return dst
 }
 
-// mergeShardTraces k-way merges the per-replica sink traces back into
-// global iteration order — the offline half of the determinism story,
-// used when the final segment is sharded and there is no live fan-in.
-// Each collector's spans are already iteration-sorted (per-lane order is
-// preserved end to end), so one linear min-scan per span suffices; P is
-// at most MaxShards.
-func mergeShardTraces(cols []*sinkCollector) []interp.Event {
+// mergeTraces assembles the run's trace from its sink collectors, strictly
+// after the join. A lone collector already holds the trace in iteration
+// order and is concatenated. Several — the final segment is sharded, so
+// there is no live fan-in — are k-way merged back into global iteration
+// order, the offline half of the determinism story: each collector's
+// spans are already iteration-sorted (per-lane order is preserved end to
+// end), so one linear min-scan per span suffices; P is at most MaxShards.
+func mergeTraces(cols []*sinkCollector) []interp.Event {
 	total := 0
 	for _, c := range cols {
 		if c.tail != nil {
@@ -410,11 +435,16 @@ func mergeShardTraces(cols []*sinkCollector) []interp.Event {
 		return nil
 	}
 	out := make([]interp.Event, 0, total)
+	if len(cols) == 1 {
+		for _, ch := range cols[0].chunks {
+			out = append(out, ch...)
+		}
+		return out
+	}
 	cur := make([]evCursor, len(cols))
 	idx := make([]int, len(cols))
 	for j, c := range cols {
 		cur[j] = evCursor{chunks: c.chunks}
-		idx[j] = 0
 	}
 	for {
 		best := -1

@@ -58,7 +58,7 @@ const maxFaultRecords = 4096
 // FaultRecord describes the fate of one packet that did not complete the
 // pipeline normally (or, for "degraded", completed it short-circuited).
 type FaultRecord struct {
-	// Iter is the packet's iteration index (assigned at the head stage in
+	// Iter is the packet's iteration index (assigned at admission in
 	// source order, 0-based).
 	Iter int64
 	// Stage is the 1-based stage at which the disposition happened.

@@ -1,18 +1,25 @@
 // Package runtime is the host-native streaming executor for partitioned
-// pipelines: one goroutine per stage, connected by bounded rings, serving
-// a packet stream. Where internal/npsim *predicts* pipeline timing on a
+// pipelines: one goroutine per unit (a stage, or a run of fused stages),
+// connected by bounded rings, serving a packet stream. Where internal/npsim *predicts* pipeline timing on a
 // model of the IXP, this package *measures* it on the host — each stage
 // really runs concurrently, inter-stage rings really exert backpressure,
 // and throughput comes from the wall clock.
 //
 // Correctness model: every iteration owns an interp.IterCtx that flows
-// down the pipeline inside a token. The head stage pulls one packet per
-// iteration from the Source and attaches it to the token; the iteration's
-// observable events are buffered on the token (IterCtx.DeferEvents) and
-// merged at the sink in iteration order. Because each ring has exactly one
-// producer and one consumer, tokens retire in iteration order and the
-// merged trace is byte-identical to the sequential oracle's — there is no
-// cross-stage reordering to normalize away.
+// down the pipeline inside a token. Exactly one goroutine admits packets —
+// the stage-1 unit, or the flow-hash dispatcher when stage 1 is
+// replicated: it pulls each packet from the Source, numbers it and
+// attaches it to a fresh token; the iteration's observable events are
+// buffered on the token (IterCtx.DeferEvents) and collected at the sink in
+// iteration order. Because each ring has exactly one producer and one
+// consumer, tokens retire in iteration order and the collected trace is
+// byte-identical to the sequential oracle's — there is no cross-stage
+// reordering to normalize away.
+//
+// Every unit — a maximal run of stages joined by fused cuts, a lone stage
+// when nothing fuses — runs the same loop: take a batch from its input
+// (the Source, a ring, or a fan-in merger), run it through each of its
+// segments stage-major, and send it on (or retire it, at the sink).
 //
 // Sharding (Config.Shards > 1) replicates the shardable stages P ways:
 // packets are dispatched to lanes by a flow hash and the global order is
@@ -23,8 +30,8 @@
 //
 // Shared state discipline (what makes the concurrency safe):
 //
-//   - the packet stream is pre-pulled at the head stage (Runner.RxFromCtx),
-//     so no stage touches the World's packet cursor;
+//   - the packet stream is pre-pulled by the admitting goroutine
+//     (Runner.RxFromCtx), so no stage touches the World's packet cursor;
 //   - persistent arrays and queues are each confined to a single stage
 //     (the partitioning invariant, re-checked by Validate), and the shared
 //     persistent store is fully materialized before any goroutine starts;
@@ -334,7 +341,7 @@ func Validate(stages []*ir.Program) error {
 // token carries one in-flight iteration: its context (packet, metadata,
 // locals, buffered events) and the live-set slots realized for the next
 // cut, exactly as OpSendLS packed them. iter is the packet's source-order
-// index (assigned at the head, 0-based), the key every fault-injection
+// index (assigned at admission, 0-based), the key every fault-injection
 // trigger and fault record is expressed in. degradedAt, when non-zero, is
 // the 1-based stage from which processing is short-circuited: stages with
 // index >= degradedAt pass the token through without executing it. Under
@@ -384,14 +391,13 @@ type engine struct {
 	plan     *shardPlan
 	fused    []bool            // cut -> realized by fusion (aligned + requested)
 	runners  [][]stageRunner   // stage -> replicas
-	rings    [][]chan []*token // cut -> lane rings
-	headRing []chan []*token   // dispatcher -> stage-0 replicas (nil without a dispatcher)
+	rings    [][]chan []*token // stage -> inbound lane rings (nil: fed by the source or a fused cut)
 	seqs     []*seqStream      // fan-in sequence side-channels
-	cols     []*sinkCollector  // per sink replica, when the final segment is sharded
+	cols     []*sinkCollector  // one per sink replica
 	m        *Metrics
 	inj      *fault.Injector
-	injs     []*fault.Injector // per-lane injector views; injs[0] is inj
-	shardKey func([]byte) uint64
+	injs     []*fault.Injector   // per-lane injector views; injs[0] is inj
+	shardKey func([]byte) uint64 // stamps admitted tokens' lanes; nil when nothing is replicated
 
 	// live holds the per-replica atomic probes every counter update lands
 	// in; recs are the per-lane fault-record buffers (dispatcher last),
@@ -416,65 +422,16 @@ type engine struct {
 	// attached — from the sink replica(s) back to the source in one
 	// channel operation per batch, replacing 2×Batch sync.Pool operations
 	// with one synchronization on the serve hot path. spare is the
-	// source side's current stash (head/dispatcher goroutine only); the
-	// pools absorb overflow and the stragglers recycled off the hot path
+	// admitting goroutine's current stash and nextIter the iteration index
+	// it assigns next (both owned by that goroutine alone); the pools
+	// absorb overflow and the stragglers recycled off the hot path
 	// (quarantines, tombstones).
 	freeBatches chan []*token
 	spare       []*token
-
-	// Trace accumulation. The sink stage's goroutine is the sole writer:
-	// events land in fixed-size chunks (traceTail is the one being
-	// filled, traceChunks the sealed ones) and are assembled into
-	// Metrics.Trace with a single exact-size allocation after the join.
-	// Growing one flat slice by append instead costs a realloc-zero-copy
-	// cycle per doubling, which at streaming scale dominates the sink.
-	// (When the final segment is sharded, each sink replica accumulates
-	// into its own sinkCollector instead and the traces are k-way merged
-	// after the join.)
-	traceChunks [][]interp.Event
-	traceTail   []interp.Event
+	nextIter    int64
 
 	errOnce  sync.Once
 	firstErr error
-}
-
-// traceChunkEvents sizes the sink's trace chunks: big enough to amortize
-// the per-chunk allocation, small enough to recycle address space quickly.
-const traceChunkEvents = 1 << 15
-
-// appendTrace adds one iteration's deferred events to the chunked trace.
-// Only the (single) sink goroutine calls it.
-func (e *engine) appendTrace(evs []interp.Event) {
-	for len(evs) > 0 {
-		if cap(e.traceTail) == 0 {
-			e.traceTail = make([]interp.Event, 0, traceChunkEvents)
-		}
-		n := copy(e.traceTail[len(e.traceTail):cap(e.traceTail)], evs)
-		e.traceTail = e.traceTail[:len(e.traceTail)+n]
-		evs = evs[n:]
-		if len(e.traceTail) == cap(e.traceTail) {
-			e.traceChunks = append(e.traceChunks, e.traceTail)
-			e.traceTail = nil
-		}
-	}
-}
-
-// assembleTrace concatenates the sealed chunks and the tail into one
-// exact-size trace slice. Called once, strictly after the stage
-// goroutines joined.
-func (e *engine) assembleTrace() []interp.Event {
-	total := len(e.traceTail)
-	for _, c := range e.traceChunks {
-		total += len(c)
-	}
-	if total == 0 {
-		return nil
-	}
-	trace := make([]interp.Event, 0, total)
-	for _, c := range e.traceChunks {
-		trace = append(trace, c...)
-	}
-	return append(trace, e.traceTail...)
 }
 
 func (e *engine) fail(err error) {
@@ -565,55 +522,6 @@ func AlignedCuts(stages []*ir.Program, shards int, explicitKey bool) []bool {
 	return aligned
 }
 
-// runSegs drives a batch through the trailing segments of a fused unit,
-// stage-major: the whole batch runs through segs[i] before segs[i+1], so
-// each stage's busy time, counters, and fault attribution stay exact even
-// though no ring separates them. The handoff between segments is the
-// token's own slot buffer — zero synchronization, zero copies beyond the
-// words OpSendLS packs. Each interior handoff settles the predecessor's
-// out counter here (the last segment's out is counted at the ring put or
-// retire, exactly as unfused). Quarantined tokens compact out of the
-// batch; degraded and tombstoned tokens pass through. Returns false when
-// a fatal error aborted the run.
-func (e *engine) runSegs(segs []*laneCtx, b *[]*token) bool {
-	for i := 1; i < len(segs); i++ {
-		lc := segs[i]
-		bb := *b
-		if len(bb) == 0 {
-			return true
-		}
-		segs[i-1].probe.out.Add(int64(len(bb)))
-		lc.probe.in.Add(int64(len(bb)))
-		s := lc.s
-		firstIter := bb[0].iter
-		n := len(bb)
-		t0 := time.Now()
-		keep := bb[:0]
-		for _, t := range bb {
-			if t.dead || (t.degradedAt > 0 && s+1 >= int(t.degradedAt)) {
-				keep = append(keep, t)
-				continue
-			}
-			switch e.runToken(lc, t) {
-			case tokOK, tokDead:
-				keep = append(keep, t)
-			case tokQuarantined:
-			case tokFatal:
-				lc.probe.busyNs.Add(int64(time.Since(t0)))
-				return false
-			}
-		}
-		*b = keep
-		busy := time.Since(t0)
-		lc.probe.busyNs.Add(int64(busy))
-		if e.timed {
-			e.span(s+1, firstIter, n, obsv.PhaseExec, t0, busy)
-			e.fillHist[s].Observe(int64(n))
-		}
-	}
-	return true
-}
-
 func (e *engine) getToken() *token {
 	t := e.tokPool.Get().(*token)
 	t.ctx.DeferEvents = true
@@ -622,7 +530,7 @@ func (e *engine) getToken() *token {
 
 // takeToken is the source side's token allocator: it prefers the batches
 // recycled whole through the free list and falls back to the pool. Only
-// the head/dispatcher goroutine calls it.
+// the admitting goroutine calls it.
 func (e *engine) takeToken() *token {
 	if len(e.spare) == 0 {
 		select {
@@ -726,9 +634,9 @@ func (e *engine) outFor(lc *laneCtx) *outPort {
 		if e.plan.seqFor[s] >= 0 {
 			sq = e.seqs[e.plan.seqFor[s]]
 		}
-		return &outPort{sc: newScatterer(e.rings[s], sq)}
+		return &outPort{sc: newScatterer(e.rings[s+1], sq)}
 	}
-	return &outPort{ring: e.rings[s][lc.j]}
+	return &outPort{ring: e.rings[s+1][lc.j]}
 }
 
 // send forwards a batch through the port with the transmit-phase
@@ -951,27 +859,11 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// retire merges a finished batch's events into the trace in iteration
-// order and recycles the whole batch. Only the (single) sink goroutine
-// calls it, so the trace append is single-writer.
+// retire collects a finished batch's events into lc's sink collector in
+// iteration order and recycles the whole batch. Only that sink replica's
+// goroutine calls it.
 func (e *engine) retire(b []*token, lc *laneCtx) {
-	var alive int64
-	for _, t := range b {
-		if t.dead {
-			continue
-		}
-		e.appendTrace(t.ctx.Events)
-		alive++
-	}
-	e.live.packets.Add(alive)
-	lc.probe.out.Add(alive)
-	e.recycleBatch(b)
-}
-
-// retireSharded is retire for one replica of a sharded sink: events land
-// in the replica's own collector, keyed by iteration, for the post-join
-// k-way merge.
-func (e *engine) retireSharded(b []*token, col *sinkCollector, lc *laneCtx) {
+	col := e.cols[lc.j]
 	var alive int64
 	for _, t := range b {
 		if t.dead {
@@ -985,118 +877,56 @@ func (e *engine) retireSharded(b []*token, col *sinkCollector, lc *laneCtx) {
 	e.recycleBatch(b)
 }
 
-// head is the stage-1 goroutine of an undispatched run (stage 0
-// unreplicated): it paces the pipeline by pulling one packet per iteration
-// from the Source, executes the first stage — plus any stages fused onto
-// it, via runSegs — and forwards batches downstream (or retires them
-// directly when the unit reaches the sink). Poisoned packets are
-// quarantined here, before a token is even built; the head's In counter
-// tallies every packet pulled from the source, which is the total the
-// FaultReport accounting is reconciled against. When a later cut scatters,
-// the head also stamps each token's lane from the flow hash.
-func (e *engine) head(segs []*laneCtx) {
-	lc := segs[0]
-	tail := segs[len(segs)-1]
-	p := lc.probe
-	out := e.outFor(tail)
-	if out != nil {
-		defer out.close()
+// admit pulls the next packet from the Source and admits it: it assigns
+// the packet's iteration index, counts it into lc's In (the total the
+// FaultReport ledger is reconciled against), quarantines a poisoned
+// packet before any token is built (t == nil), and otherwise returns a
+// token carrying the packet, its lane stamped from the flow hash when
+// the run is sharded — before any stage body, which may rewrite packet
+// bytes. ok is false once the source is drained. Only the admitting
+// goroutine (the stage-1 unit, or the dispatcher) calls it.
+func (e *engine) admit(lc *laneCtx) (t *token, ok bool) {
+	pkt, ok := e.src.Next()
+	if !ok {
+		return nil, false
 	}
-	sharded := e.plan.sharded()
-	var iter int64
-	for {
-		select {
-		case <-e.ictx.Done():
-			return
-		default:
-		}
-		// Pull and execute up to one batch of iterations.
-		b := e.getBatch()
-		srcDone := false
-		firstIter := iter
-		t0 := time.Now()
-		for len(b) < e.cfg.Batch {
-			pkt, ok := e.src.Next()
-			if !ok {
-				srcDone = true
-				break
-			}
-			i := iter
-			iter++
-			p.in.Add(1)
-			if e.inj != nil {
-				if bad, poisoned := e.inj.AtSource(i, pkt); poisoned {
-					p.quarantined.Add(1)
-					e.record(lc.recIdx, FaultRecord{Iter: i, Stage: 1, Disposition: "quarantined",
-						Reason: fmt.Sprintf("%v: %d malformed bytes at source", errs.ErrPoisonPacket, len(bad))})
-					continue
-				}
-			}
-			t := e.takeToken()
-			t.iter = i
-			t.ctx.Pending, t.ctx.HasPending = pkt, true
-			if sharded {
-				// Before the stage body: it may rewrite packet bytes.
-				t.shard = int32(shardOf(e.shardKey(pkt), e.plan.p))
-			}
-			switch e.runToken(lc, t) {
-			case tokOK:
-				b = append(b, t)
-			case tokQuarantined, tokDead:
-				// tomb is never set at an unreplicated head (needTomb
-				// covers replicated stages only), so tokDead is unreachable
-				// here; quarantines just drop.
-				continue
-			case tokFatal:
-				p.busyNs.Add(int64(time.Since(t0)))
-				return
-			}
-		}
-		busy := time.Since(t0)
-		p.busyNs.Add(int64(busy))
-		if len(b) > 0 {
-			if e.timed {
-				e.span(1, firstIter, len(b), obsv.PhaseExec, t0, busy)
-				e.fillHist[0].Observe(int64(len(b)))
-			}
-			if !e.runSegs(segs, &b) {
-				return
-			}
-		}
-		if len(b) > 0 {
-			if out == nil {
-				e.retire(b, tail)
-			} else if !out.send(e, b, tail) {
-				return
-			}
-		} else {
-			e.putBatch(b)
-		}
-		if srcDone {
-			return
+	i := e.nextIter
+	e.nextIter++
+	lc.probe.in.Add(1)
+	if e.inj != nil {
+		if bad, poisoned := e.inj.AtSource(i, pkt); poisoned {
+			lc.probe.quarantined.Add(1)
+			e.record(lc.recIdx, FaultRecord{Iter: i, Stage: 1, Disposition: "quarantined",
+				Reason: fmt.Sprintf("%v: %d malformed bytes at source", errs.ErrPoisonPacket, len(bad))})
+			return nil, true
 		}
 	}
+	t = e.takeToken()
+	t.iter = i
+	t.ctx.Pending, t.ctx.HasPending = pkt, true
+	if e.shardKey != nil {
+		t.shard = int32(shardOf(e.shardKey(pkt), e.plan.p))
+	}
+	return t, true
 }
 
 // dispatch is the source goroutine of a run whose first stage is
-// replicated: it pulls packets, assigns iteration indices, quarantines
-// poisons, stamps each token's lane from the flow hash, and forwards
-// per-lane batches into the head rings — recording the lane sequence for
-// the paired fan-in when one exists. It is lossless (pure backpressure):
-// the overload policies act at the inter-stage rings.
+// replicated: it admits packets and forwards per-lane batches into the
+// stage-1 rings — recording the lane sequence for the paired fan-in when
+// one exists. It is lossless (pure backpressure): the overload policies
+// act at the inter-stage rings.
 func (e *engine) dispatch() {
 	lc := e.dispLane()
 	p := lc.probe
-	P := e.plan.reps[0]
+	rings := e.rings[0]
 	var sq *seqStream
 	if e.plan.dispSeq >= 0 {
 		sq = e.seqs[e.plan.dispSeq]
 	}
-	pend := make([][]*token, P)
+	pend := make([][]*token, len(rings))
 	for j := range pend {
 		pend[j] = e.getBatch()
 	}
-	var iter int64
 loop:
 	for {
 		select {
@@ -1104,7 +934,7 @@ loop:
 			break loop
 		default:
 		}
-		pkt, ok := e.src.Next()
+		t, ok := e.admit(lc)
 		if !ok {
 			// Source drained: flush the partial lane batches in one last
 			// sequenced round.
@@ -1123,23 +953,10 @@ loop:
 			}
 			break loop
 		}
-		i := iter
-		iter++
-		p.in.Add(1)
-		if e.inj != nil {
-			if bad, poisoned := e.inj.AtSource(i, pkt); poisoned {
-				// Dropped before sequencing, so no tombstone is needed.
-				p.quarantined.Add(1)
-				e.record(lc.recIdx, FaultRecord{Iter: i, Stage: 1, Disposition: "quarantined",
-					Reason: fmt.Sprintf("%v: %d malformed bytes at source", errs.ErrPoisonPacket, len(bad))})
-				continue
-			}
+		if t == nil {
+			continue // quarantined before sequencing, so no tombstone is needed
 		}
-		t := e.takeToken()
-		t.iter = i
-		t.ctx.Pending, t.ctx.HasPending = pkt, true
-		lane := shardOf(e.shardKey(pkt), P)
-		t.shard = int32(lane)
+		lane := int(t.shard)
 		if sq != nil {
 			sq.add(lane)
 		}
@@ -1154,7 +971,7 @@ loop:
 			pend[lane] = e.getBatch()
 		}
 	}
-	for _, r := range e.headRing {
+	for _, r := range rings {
 		close(r)
 	}
 	if sq != nil {
@@ -1168,13 +985,14 @@ func (e *engine) dispLane() *laneCtx {
 	return &laneCtx{s: 0, probe: e.live.disp, inj: e.inj, recIdx: len(e.live.probes)}
 }
 
-// dispFlush delivers pend[lane] into its head ring. When the ring is
+// dispFlush delivers pend[lane] into its stage-1 ring. When the ring is
 // full, it repeatedly try-flushes every other pending lane while waiting:
 // the fan-in downstream consumes lanes in dispatch order, so a starved
 // lane's partial batch must be able to leave even while the dispatcher is
 // parked on a saturated one — the cross-lane deadlock guard.
 func (e *engine) dispFlush(pend [][]*token, lane int, p *stageProbe) bool {
-	if e.trySend(e.headRing[lane], pend[lane], p) {
+	rings := e.rings[0]
+	if e.trySend(rings[lane], pend[lane], p) {
 		return true
 	}
 	p.stalls.Add(1)
@@ -1183,11 +1001,11 @@ func (e *engine) dispFlush(pend [][]*token, lane int, p *stageProbe) bool {
 			if j == lane || len(pend[j]) == 0 {
 				continue
 			}
-			if e.trySend(e.headRing[j], pend[j], p) {
+			if e.trySend(rings[j], pend[j], p) {
 				pend[j] = e.getBatch()
 			}
 		}
-		sent, canceled := sendTick(e.headRing[lane], pend[lane], e.ictx.Done(), &p.txWait)
+		sent, canceled := sendTick(rings[lane], pend[lane], e.ictx.Done(), &p.txWait)
 		if sent {
 			p.out.Add(int64(len(pend[lane])))
 			return true
@@ -1198,99 +1016,118 @@ func (e *engine) dispFlush(pend [][]*token, lane int, p *stageProbe) bool {
 	}
 }
 
-// stageLoop is the goroutine of one replica of a non-source unit (and of
-// the source unit's replicas, fed by the dispatcher): receive a batch —
-// from the head ring, the private lane ring, or the fan-in merger — run
-// each live iteration with the live-set slots its predecessor packed,
-// drive it through any stages fused onto this one (runSegs), and forward
-// (or retire, at the sink). Degraded and tombstoned tokens pass through
-// without executing; quarantined tokens are compacted out of the batch
-// (or tombstoned, when a fan-in is downstream).
-func (e *engine) stageLoop(segs []*laneCtx) {
-	lc := segs[0]
-	tail := segs[len(segs)-1]
+// unitIn is a unit's receiving side, picked once when its goroutine
+// starts: the Source itself (the stage-1 unit when no dispatcher runs;
+// both fields nil), the unit's inbound lane ring, or a fan-in merger.
+type unitIn struct {
+	ring chan []*token
+	mg   *merger
+}
+
+// inFor wires the receiving side of the unit whose first segment is lc.
+func (e *engine) inFor(lc *laneCtx) unitIn {
 	s := lc.s
-	p := lc.probe
-	var in chan []*token
-	var mg *merger
 	switch {
-	case s == 0:
-		in = e.headRing[lc.j]
-	case e.plan.faninSeq[s-1] >= 0:
-		mg = e.newMerger(s-1, lc)
-	default:
-		in = e.rings[s-1][lc.j]
+	case s > 0 && e.plan.faninSeq[s-1] >= 0:
+		return unitIn{mg: e.newMerger(s, lc)}
+	case e.rings[s] != nil:
+		return unitIn{ring: e.rings[s][lc.j]}
 	}
+	return unitIn{}
+}
+
+// next takes the unit's next batch and counts it into lc's In. t0 starts
+// the first segment's busy clock: a source-fed unit reads it before its
+// pulls, so stage 1's Busy includes the time spent inside Source.Next;
+// any other unit reads it after the receive. last reports the end of the
+// stream: run b, then exit. A nil b means the input closed, or the run
+// was canceled, with nothing left to run.
+func (in *unitIn) next(e *engine, lc *laneCtx) (b []*token, t0 time.Time, last bool) {
+	if in.ring == nil && in.mg == nil {
+		select {
+		case <-e.ictx.Done():
+			return nil, t0, true
+		default:
+		}
+		t0 = time.Now()
+		b = e.getBatch()
+		for len(b) < e.cfg.Batch {
+			t, ok := e.admit(lc)
+			if !ok {
+				return b, t0, true
+			}
+			if t != nil {
+				b = append(b, t)
+			}
+		}
+		return b, t0, false
+	}
+	p := lc.probe
+	var wStart time.Time
+	if e.timed {
+		wStart = time.Now()
+	}
+	if in.mg != nil {
+		var more bool
+		b, more = in.mg.nextBatch(e.cfg.Batch)
+		last = !more
+	} else {
+		var ok bool
+		if b, ok = recv(in.ring, e.ictx.Done(), &p.rxWait); !ok {
+			return nil, t0, true
+		}
+		p.occSum.Add(int64(len(in.ring)))
+		p.occSamples.Add(1)
+	}
+	if len(b) == 0 {
+		e.putBatch(b)
+		return nil, t0, true
+	}
+	if e.timed {
+		wait := time.Since(wStart)
+		e.span(lc.s+1, b[0].iter, len(b), obsv.PhaseWait, wStart, wait)
+		if h := e.waitHist[lc.s]; h != nil {
+			h.Observe(wait.Microseconds())
+		}
+	}
+	p.in.Add(int64(len(b)))
+	return b, time.Now(), last
+}
+
+// unitLoop is the goroutine of one unit replica, whatever its place in
+// the pipeline: take a batch from the unit's input, run it through every
+// segment stage-major (runSeg), and forward it — or retire it, when the
+// unit ends at the sink. Inside a fused unit the handoff between
+// segments is the token's own slot buffer — zero synchronization, zero
+// copies beyond the words OpSendLS packs — and each interior handoff
+// settles the predecessor's Out and the successor's In here, exactly as
+// a ring put and pull would (the last segment's Out is counted at the
+// ring put or retire).
+func (e *engine) unitLoop(segs []*laneCtx) {
+	tail := segs[len(segs)-1]
+	in := e.inFor(segs[0])
 	out := e.outFor(tail)
 	if out != nil {
 		defer out.close()
 	}
-	var col *sinkCollector
-	if out == nil && e.cols != nil {
-		col = e.cols[tail.j]
-	}
 	for {
-		var wStart time.Time
-		if e.timed {
-			wStart = time.Now()
-		}
-		var b []*token
-		last := false
-		if mg != nil {
-			var more bool
-			b, more = mg.nextBatch(e.cfg.Batch)
-			last = !more
-		} else {
-			var ok bool
-			b, ok = recv(in, e.ictx.Done(), &p.rxWait)
-			if !ok {
-				return
-			}
-			p.occSum.Add(int64(len(in)))
-			p.occSamples.Add(1)
-		}
-		if len(b) == 0 {
-			e.putBatch(b)
-			if last {
-				return
-			}
-			continue
-		}
-		if e.timed {
-			wait := time.Since(wStart)
-			e.span(s+1, b[0].iter, len(b), obsv.PhaseWait, wStart, wait)
-			if h := e.waitHist[s]; h != nil {
-				h.Observe(wait.Microseconds())
-			}
-			e.fillHist[s].Observe(int64(len(b)))
-		}
-		p.in.Add(int64(len(b)))
-		firstIter := b[0].iter
-		n := len(b)
-		t0 := time.Now()
-		keep := b[:0]
-		for _, t := range b {
-			if t.dead || (t.degradedAt > 0 && s+1 >= int(t.degradedAt)) {
-				keep = append(keep, t)
-				continue
-			}
-			switch e.runToken(lc, t) {
-			case tokOK, tokDead:
-				keep = append(keep, t)
-			case tokQuarantined:
-			case tokFatal:
-				p.busyNs.Add(int64(time.Since(t0)))
-				return
-			}
-		}
-		b = keep
-		busy := time.Since(t0)
-		p.busyNs.Add(int64(busy))
-		if e.timed {
-			e.span(s+1, firstIter, n, obsv.PhaseExec, t0, busy)
-		}
-		if !e.runSegs(segs, &b) {
+		b, t0, last := in.next(e, segs[0])
+		if b == nil {
 			return
+		}
+		for i, lc := range segs {
+			if i > 0 {
+				if len(b) == 0 {
+					break
+				}
+				segs[i-1].probe.out.Add(int64(len(b)))
+				lc.probe.in.Add(int64(len(b)))
+				t0 = time.Now()
+			}
+			var ok bool
+			if b, ok = e.runSeg(lc, b, t0); !ok {
+				return
+			}
 		}
 		switch {
 		case len(b) == 0:
@@ -1299,8 +1136,6 @@ func (e *engine) stageLoop(segs []*laneCtx) {
 			if !out.send(e, b, tail) {
 				return
 			}
-		case col != nil:
-			e.retireSharded(b, col, tail)
 		default:
 			e.retire(b, tail)
 		}
@@ -1308,6 +1143,43 @@ func (e *engine) stageLoop(segs []*laneCtx) {
 			return
 		}
 	}
+}
+
+// runSeg executes one segment's share of a batch: each live iteration
+// runs at lc's stage with the live-set slots its predecessor packed.
+// Degraded and tombstoned tokens pass through without executing;
+// quarantined tokens are compacted out of the batch (or tombstoned, when
+// a fan-in is downstream). Busy time accrues from t0, and the segment's
+// exec span and batch-fill histogram observe the batch as it entered.
+// Returns false when a fatal error aborted the run.
+func (e *engine) runSeg(lc *laneCtx, b []*token, t0 time.Time) ([]*token, bool) {
+	s, n := lc.s, len(b)
+	var firstIter int64
+	if n > 0 {
+		firstIter = b[0].iter
+	}
+	keep := b[:0]
+	for _, t := range b {
+		if t.dead || (t.degradedAt > 0 && s+1 >= int(t.degradedAt)) {
+			keep = append(keep, t)
+			continue
+		}
+		switch e.runToken(lc, t) {
+		case tokOK, tokDead:
+			keep = append(keep, t)
+		case tokQuarantined:
+		case tokFatal:
+			lc.probe.busyNs.Add(int64(time.Since(t0)))
+			return nil, false
+		}
+	}
+	busy := time.Since(t0)
+	lc.probe.busyNs.Add(int64(busy))
+	if e.timed && n > 0 {
+		e.span(s+1, firstIter, n, obsv.PhaseExec, t0, busy)
+		e.fillHist[s].Observe(int64(n))
+	}
+	return keep, true
 }
 
 // histogram bucket bounds the registry mirror uses: batch fill in
@@ -1397,7 +1269,7 @@ func (e *engine) logLoop(stop <-chan struct{}) {
 }
 
 // Serve runs the partitioned stages concurrently — one goroutine per
-// stage replica, bounded rings between neighbors — against the packet
+// unit replica, bounded rings between neighbors — against the packet
 // stream of src, with world supplying route tables and persistent state.
 // It returns when the source is exhausted and the pipeline has drained,
 // or when ctx is canceled (in-flight iterations are then discarded; the
@@ -1447,14 +1319,17 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 	if b, ok := src.(ContextBinder); ok {
 		// I/O-backed sources block in reads; binding the run's internal
 		// context lets cancelation (external or error teardown) unblock
-		// them instead of stranding the head goroutine in a syscall.
+		// them instead of stranding the admitting goroutine in a syscall.
 		b.BindContext(ictx)
 	}
 	start := time.Now()
 	hasDisp := plan.reps[0] > 1
-	key := cfg.ShardKey
-	if key == nil {
-		key = DefaultShardKey
+	var key func([]byte) uint64
+	if plan.sharded() {
+		key = cfg.ShardKey
+		if key == nil {
+			key = DefaultShardKey
+		}
 	}
 	e := &engine{
 		ictx:     ictx,
@@ -1464,7 +1339,7 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 		plan:     plan,
 		fused:    effectiveFusion(cfg.FuseCuts, plan, D),
 		runners:  runners,
-		rings:    make([][]chan []*token, D-1),
+		rings:    make([][]chan []*token, D),
 		m:        &Metrics{},
 		inj:      fault.NewInjector(cfg.Faults, D),
 		shardKey: key,
@@ -1484,33 +1359,29 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 	// full ring per lane plus the batch each end of it holds — so steady
 	// state never spills recycled batches to the pools.
 	e.freeBatches = make(chan []*token, 4+plan.width()*(cfg.RingCapacity+2))
-	for k := range e.rings {
-		if e.fused[k] {
-			// A fused cut has no ring: its stages share a goroutine and
-			// hand the live set over inside the token.
+	for s := range e.rings {
+		var lanes int
+		switch {
+		case s == 0 && hasDisp:
+			lanes = plan.reps[0]
+		case s > 0 && !e.fused[s-1]:
+			lanes = plan.lanes(s - 1)
+		default:
+			// Stage 1 pulls from the source itself, or the cut is fused:
+			// its stages share a goroutine and hand the live set over
+			// inside the token.
 			continue
 		}
-		e.rings[k] = make([]chan []*token, plan.lanes(k))
-		for j := range e.rings[k] {
-			e.rings[k][j] = make(chan []*token, cfg.RingCapacity)
-		}
-	}
-	if hasDisp {
-		e.headRing = make([]chan []*token, plan.reps[0])
-		for j := range e.headRing {
-			e.headRing[j] = make(chan []*token, cfg.RingCapacity)
+		e.rings[s] = make([]chan []*token, lanes)
+		for j := range e.rings[s] {
+			e.rings[s][j] = make(chan []*token, cfg.RingCapacity)
 		}
 	}
 	e.seqs = make([]*seqStream, plan.nSeqs)
 	for i := range e.seqs {
 		e.seqs[i] = newSeqStream()
 	}
-	if plan.reps[D-1] > 1 {
-		e.cols = make([]*sinkCollector, plan.reps[D-1])
-		for j := range e.cols {
-			e.cols[j] = &sinkCollector{}
-		}
-	}
+	e.cols = newSinkCollectors(plan.reps[D-1])
 	if cfg.OnLive != nil {
 		cfg.OnLive(e.live)
 	}
@@ -1538,16 +1409,6 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 	// joined by fused cuts (a single stage when nothing fuses).
 	for s := 0; s < D; {
 		end := e.unitEnd(s)
-		if s == 0 && !hasDisp {
-			wg.Add(1)
-			segs := e.unitSegs(0, end, 0)
-			go func() {
-				defer wg.Done()
-				pprof.Do(ictx, pprof.Labels("stage", unitLabel(0, end)), func(context.Context) { e.head(segs) })
-			}()
-			s = end + 1
-			continue
-		}
 		for j := 0; j < plan.reps[s]; j++ {
 			segs := e.unitSegs(s, end, j)
 			lbl := pprof.Labels("stage", unitLabel(s, end))
@@ -1557,7 +1418,7 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				pprof.Do(ictx, lbl, func(context.Context) { e.stageLoop(segs) })
+				pprof.Do(ictx, lbl, func(context.Context) { e.unitLoop(segs) })
 			}()
 		}
 		s = end + 1
@@ -1572,11 +1433,7 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 
 	// Freeze the final Metrics from the probes, then reconcile the fault
 	// ledger (both happen strictly after the stage goroutines joined).
-	if e.cols != nil {
-		e.m.Trace = mergeShardTraces(e.cols)
-	} else {
-		e.m.Trace = e.assembleTrace()
-	}
+	e.m.Trace = mergeTraces(e.cols)
 	e.m.Elapsed = elapsed
 	e.m.Packets = e.live.packets.Load()
 	e.m.Shards = plan.width()

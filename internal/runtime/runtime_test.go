@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	gort "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,49 +115,120 @@ func TestServeBackpressure(t *testing.T) {
 	}
 }
 
-// TestServeCancelDrainsCleanly cancels a serve mid-stream and checks that
-// Serve returns the context error promptly and leaks no goroutines.
+// TestServeCancelDrainsCleanly is the leak check over every Serve exit
+// path — cancel mid-stream, source exhausted, a fatal stage error (the
+// step limit) — on every realization shape: a lone head unit, a ringed and
+// a fully fused D=4 pipeline, a dispatched IPv4 pipeline, and the sharded
+// QM pipeline (dispatcher → fan-in → scatter → fan-in). Each case must
+// return the right error promptly and leave no goroutine behind.
 func TestServeCancelDrainsCleanly(t *testing.T) {
-	pps, _ := netbench.ByName("IPv4")
-	prog, err := pps.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Partition(prog, core.Options{Stages: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := gort.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		// Cancel once the pipeline is demonstrably mid-stream.
-		<-done
-		cancel()
-	}()
-	served := 0
-	src := runtime.SourceFunc(func() ([]byte, bool) {
-		served++
-		if served == 500 {
-			close(done)
+	partition := func(prog *ir.Program, d int) []*ir.Program {
+		t.Helper()
+		res, err := core.Partition(prog, core.Options{Stages: d})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return netbench.IPv4Stream(1)[0], true // endless stream
-	})
-	m, err := runtime.Serve(ctx, res.Stages, netbench.NewWorld(nil), src, runtime.DefaultConfig())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		return res.Stages
 	}
-	if m == nil {
-		t.Fatal("expected partial metrics on cancellation")
+	app := func(name string) *ir.Program {
+		t.Helper()
+		pps, _ := netbench.ByName(name)
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
 	}
-	// All stage goroutines must be gone (allow the scheduler a moment).
-	deadline := time.Now().Add(2 * time.Second)
-	for gort.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// Spinning stages that blow the step limit on their first iteration:
+	// a head (it owns the pkt_rx site), a stateless stage, and a
+	// cross-flow one (a persistent counter keeps it unreplicated), so a
+	// realization keeps its shape when its last stage is swapped for one.
+	spinHead := partition(mustCompile(t, `pps S { loop { var n = pkt_rx(); while (1) { n = n + 1; } } }`), 1)[0]
+	spin := partition(mustCompile(t, `pps S { loop { var i = 0; while (1) { i = i + 1; } } }`), 1)[0]
+	spinCross := partition(mustCompile(t, `pps S { persistent var c = 0; loop { c = c + 1; while (c > 0) { c = c + 1; } } }`), 1)[0]
+
+	ipv4, qm := app("IPv4"), app("QM")
+	realizations := []struct {
+		name   string
+		stages []*ir.Program
+		spin   *ir.Program // replaces the last stage on the fatal path
+		shards int
+		fuse   bool
+		reps   []int // per-stage replica widths the realization runs
+	}{
+		{"D=1/head", partition(ipv4, 1), spinHead, 1, false, []int{1}},
+		{"D=4/ringed", partition(ipv4, 4), spin, 1, false, []int{1, 1, 1, 1}},
+		{"D=4/fused", partition(ipv4, 4), spin, 1, true, []int{1, 1, 1, 1}},
+		{"IPv4/D=2/P=2", partition(ipv4, 2), spin, 2, false, []int{2, 2}},
+		{"QM/D=4/P=2", partition(qm, 4), spinCross, 2, false, []int{2, 1, 2, 1}},
 	}
-	if g := gort.NumGoroutine(); g > before {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("goroutine leak after cancel: %d > %d\n%s", g, before, buf[:gort.Stack(buf, true)])
+	traffic := netbench.IPv4Stream(64)
+	const exhaustN = 1000
+	for _, r := range realizations {
+		for _, exit := range []string{"cancel", "exhausted", "fatal"} {
+			t.Run(r.name+"/"+exit, func(t *testing.T) {
+				before := gort.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				stages := r.stages
+				served := 0
+				var src runtime.Source = runtime.SourceFunc(func() ([]byte, bool) {
+					served++
+					if exit == "cancel" && served == 500 {
+						cancel() // the pipeline is demonstrably mid-stream
+					}
+					return traffic[served%len(traffic)], true // endless stream
+				})
+				switch exit {
+				case "exhausted":
+					src = runtime.Repeat(traffic, exhaustN)
+				case "fatal":
+					stages = append(append([]*ir.Program(nil), stages[:len(stages)-1]...), r.spin)
+				}
+				cfg := runtime.DefaultConfig()
+				cfg.Batch = 8
+				cfg.Shards = r.shards
+				if r.fuse {
+					cfg.FuseCuts = fuseMask("all", len(stages))
+				}
+				m, err := runtime.Serve(ctx, stages, netbench.NewWorld(nil), src, cfg)
+				switch exit {
+				case "cancel":
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("err = %v, want context.Canceled", err)
+					}
+					if m == nil {
+						t.Fatal("expected partial metrics on cancellation")
+					}
+				case "exhausted":
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.Packets != exhaustN {
+						t.Fatalf("served %d packets, want %d", m.Packets, exhaustN)
+					}
+					for k, st := range m.Stages {
+						if st.Replicas != r.reps[k] {
+							t.Fatalf("stage %d ran %d replicas, want %d", k+1, st.Replicas, r.reps[k])
+						}
+					}
+				case "fatal":
+					if err == nil || !strings.Contains(err.Error(), "step limit") {
+						t.Fatalf("err = %v, want a step-limit failure", err)
+					}
+				}
+				// Every goroutine Serve started must be gone (allow the
+				// scheduler a moment).
+				deadline := time.Now().Add(2 * time.Second)
+				for gort.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if g := gort.NumGoroutine(); g > before {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("goroutine leak: %d > %d\n%s", g, before, buf[:gort.Stack(buf, true)])
+				}
+			})
+		}
 	}
 }
 
@@ -243,5 +315,42 @@ func TestServeSourceExhaustionDrains(t *testing.T) {
 	}
 	if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
 		t.Fatal(diff)
+	}
+}
+
+// TestHeadBusyIncludesSourcePulls pins the Busy contract the benchmark's
+// per-layer ledger relies on: with no dispatcher, stage 1's unit pulls
+// from the Source itself, so the time spent inside Source.Next is part of
+// Stages[0].Busy; with a dispatcher the pulls happen on the dispatcher's
+// goroutine and stage 1's Busy is execution only.
+func TestHeadBusyIncludesSourcePulls(t *testing.T) {
+	const n, nap = 100, 200 * time.Microsecond
+	_, stages := partitionIPv4(t, 1)
+	traffic := ipv4Traffic(n)
+	for _, shards := range []int{1, 2} {
+		pulled := 0
+		src := runtime.SourceFunc(func() ([]byte, bool) {
+			if pulled == n {
+				return nil, false
+			}
+			time.Sleep(nap)
+			pulled++
+			return traffic[pulled-1], true
+		})
+		cfg := runtime.DefaultConfig()
+		cfg.Batch = 8
+		cfg.Shards = shards
+		m, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil), src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slept := time.Duration(n) * nap
+		busy := m.Stages[0].Busy
+		if shards == 1 && busy < slept {
+			t.Errorf("P=1: stage 1 busy %v < %v slept inside Source.Next", busy, slept)
+		}
+		if shards == 2 && busy >= slept/2 {
+			t.Errorf("P=2: stage 1 busy %v, want well under the %v the dispatcher slept", busy, slept)
+		}
 	}
 }

@@ -3,9 +3,12 @@ package runtime
 // Source supplies the packet stream a served pipeline consumes. Next
 // returns the next packet and true, or nil and false when the stream is
 // exhausted (which drains and shuts the pipeline down). Next is called
-// from the pipeline's head-stage goroutine only, so implementations need
-// no internal locking; a Source that blocks in Next (a live capture, a
-// socket) simply paces the pipeline.
+// from one goroutine only — the stage-1 unit's, or the flow-hash
+// dispatcher's when stage 1 is replicated — so implementations need no
+// internal locking; a Source that blocks in Next (a live capture, a
+// socket) simply paces the pipeline. The pipeline admits up to a batch
+// of packets before stage 1 reads them, so a Source must not overwrite
+// a returned packet's bytes in a later Next.
 type Source interface {
 	Next() ([]byte, bool)
 }
