@@ -31,8 +31,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"math"
-	stdruntime "runtime"
 	"time"
 
 	"repro/internal/core"
@@ -188,12 +186,12 @@ type Plan struct {
 	StageWeights []int64
 	// FusedCuts lists the 1-based cuts realized by stage fusion — cut k
 	// joins stages k and k+1 into one execution unit instead of a
-	// ring. Empty when every cut keeps its ring (including under
-	// FusionOff).
+	// ring. Empty when every cut keeps its ring.
 	FusedCuts []int
 	// FusionWhy records the fusion valuator's per-cut verdicts in cut
-	// order: the two-bound arithmetic behind each fuse/keep call. Empty
-	// when the pipeline has one stage or fusion is off.
+	// order: the costmodel.Predict arithmetic behind each fuse/keep call.
+	// Empty when the pipeline has one stage, or when an adaptive serve
+	// committed to a ringed realization.
 	FusionWhy []string
 	// Why is the human-readable rationale: how the plan was chosen, with
 	// the probe evidence when the autotuner chose it.
@@ -201,9 +199,9 @@ type Plan struct {
 }
 
 // staticPlan renders the plan of a freshly cut, not-yet-adapted pipeline,
-// including the fusion valuator's verdict on the static weights (under
-// FusionAuto; FusionOff keeps every ring and records nothing).
-func staticPlan(stages []*Program, report *Report, cfg config) *Plan {
+// including the fusion valuator's verdict on the static weights, and
+// returns the verdict's runtime fuse mask alongside it.
+func staticPlan(stages []*Program, report *Report, cfg config) (*Plan, []bool) {
 	p := &Plan{
 		Degree:    len(report.Stages),
 		Batch:     max(1, cfg.batch),
@@ -215,11 +213,9 @@ func staticPlan(stages []*Program, report *Report, cfg config) *Plan {
 	for _, s := range report.Stages {
 		p.StageWeights = append(p.StageWeights, s.Cost.Total)
 	}
-	if cfg.fusion == FusionAuto {
-		_, p.FusedCuts, p.FusionWhy = planFusion(stages, p.StageWeights, 1.0,
-			p.Batch, p.Shards, cfg.shardKey != nil, fusionCores())
-	}
-	return p
+	var fuse []bool
+	fuse, p.FusedCuts, p.FusionWhy = planFusion(stages, p.StageWeights, p.Batch, p.Shards, cfg.shardKey != nil)
+	return p, fuse
 }
 
 // meteredSource wraps the one real packet source so each adaptive round
@@ -342,22 +338,16 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 
 	// Cut a candidate realization per feasible degree under the (possibly
 	// calibrated) weights, and enumerate the (degree, batch, shards,
-	// fused) space with the model's predicted throughput as prior. The
-	// prediction takes the tighter of two bounds: the pipeline bound (the
-	// bottleneck stage, divided across shard replicas) and the CPU bound
-	// (all stages' work must share the host's processors — on a small host
-	// a deep pipeline buys nothing, and the prior must know that or it
-	// would spend every probe on candidates that cannot win). The
-	// per-ring-entry synchronization estimate (ringSyncNs, fusion.go) is
-	// the measured blocked-handoff cost — it only has to order batch sizes
-	// plausibly; measurements make the actual choice. When the fusion
-	// valuator finds cuts not worth their ring at a given (degree,
-	// batch), the fused realization enters the space as its own candidate
-	// and competes on the same two bounds, with the handoff tax charged
-	// per realized unit instead of per stage.
-	ncpu := float64(stdruntime.GOMAXPROCS(0))
+	// fused) space with the cost model's predicted throughput as prior
+	// (costmodel.Predict: the tighter of the pipeline bound and the CPU
+	// bound — on a small host a deep pipeline buys nothing, and the prior
+	// must know that or it would spend every probe on candidates that
+	// cannot win). When the fusion valuator finds cuts not worth their
+	// ring at a given (degree, batch, shards), the fused realization
+	// enters the space as its own candidate, priced by the same function
+	// over its fused units.
 	cuts := map[int]*core.Result{}
-	fusePlans := map[[2]int]costmodel.FusionPlan{} // (degree, batch) -> valuation
+	fusePlans := map[[3]int]costmodel.FusionPlan{} // (degree, batch, shards) -> valuation
 	var cands []tuner.Candidate
 	maxD := min(at.MaxDegree, MaxStages)
 	for d := 1; d <= maxD; d++ {
@@ -368,50 +358,27 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 			continue
 		}
 		cuts[d] = res
-		bottleneck := float64(res.Report.Stages[res.Report.LongestStage-1].Cost.Total) * nsPerWeight
-		var work float64
 		stageNs := make([]float64, d)
 		for i, s := range res.Report.Stages {
 			stageNs[i] = float64(s.Cost.Total) * nsPerWeight
-			work += stageNs[i]
 		}
 		for _, b := range at.Batches {
-			sync := ringSyncNs / float64(b)
-			var fp costmodel.FusionPlan
-			if cfg.fusion != FusionOff && d > 1 {
-				fp = costmodel.PlanFusion(stageNs, sync, int(ncpu))
-				if fp.Units < d {
-					fusePlans[[2]int{d, b}] = fp
-				}
-			}
 			for _, ps := range at.Shards {
 				if ps != effShards(res.Stages, ps) {
 					continue // forked flow state: replica widths unsound across rounds
 				}
-				pipeBound := bottleneck/float64(ps) + sync
-				cpuBound := (work + float64(d)*sync) / ncpu
-				perPkt := math.Max(pipeBound, cpuBound)
+				host := serveHost(b, ps)
 				cands = append(cands, tuner.Candidate{
-					Degree: d, Batch: b, Shards: ps, Prior: 1e9 / perPkt,
+					Degree: d, Batch: b, Shards: ps, Prior: 1e9 / costmodel.Predict(stageNs, host),
 				})
-				if fp.Units > 0 && fp.Units < d {
-					// The fused realization of the same shape: fewer units,
-					// fewer handoffs, a (possibly) taller bottleneck. Shard
-					// junctions may veto individual cuts at serve time; the
-					// prior ignores that, measurements correct it.
-					us := fusedUnitCosts(stageNs, fp.FuseCuts)
-					var btlU float64
-					for _, u := range us {
-						btlU = math.Max(btlU, u)
-					}
-					pipeF := btlU / float64(ps)
-					if len(us) > 1 {
-						pipeF += sync
-					}
-					cpuF := (work + float64(len(us))*sync) / ncpu
+				// The fused realization of the same shape: fewer units,
+				// fewer handoffs, a (possibly) taller bottleneck. Shard
+				// junctions may veto individual cuts at serve time; the
+				// prior ignores that, measurements correct it.
+				if fp := costmodel.PlanFusion(stageNs, host); fp.Units < d {
+					fusePlans[[3]int{d, b, ps}] = fp
 					cands = append(cands, tuner.Candidate{
-						Degree: d, Batch: b, Shards: ps, Fused: true,
-						Prior: 1e9 / math.Max(pipeF, cpuF),
+						Degree: d, Batch: b, Shards: ps, Fused: true, Prior: 1e9 / fp.PredictedNs,
 					})
 				}
 			}
@@ -433,7 +400,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		rc.Shards = c.Shards
 		rc.FuseCuts = nil
 		if c.Fused {
-			rc.FuseCuts = fusePlans[[2]int{c.Degree, c.Batch}].FuseCuts
+			rc.FuseCuts = fusePlans[[3]int{c.Degree, c.Batch, c.Shards}].FuseCuts
 		}
 		rc.Obs = nil
 		var tr *obsv.Tracer
@@ -491,7 +458,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	if win.Fused {
 		// Publish what will actually fuse: the valuator's mask intersected
 		// with the winner's shard-aligned cuts (junctions keep their ring).
-		fp := fusePlans[[2]int{win.Degree, win.Batch}]
+		fp := fusePlans[[3]int{win.Degree, win.Batch, win.Shards}]
 		rc.FuseCuts = fp.FuseCuts
 		aligned := runtime.AlignedCuts(cuts[win.Degree].Stages, rc.Shards, cfg.shardKey != nil)
 		for k, f := range fp.FuseCuts {

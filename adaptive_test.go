@@ -3,6 +3,8 @@ package repro_test
 import (
 	"context"
 	"errors"
+	gort "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,5 +220,80 @@ func TestPlanStatic(t *testing.T) {
 	}
 	if len(plan.StageWeights) != 3 {
 		t.Errorf("static plan has %d stage weights", len(plan.StageWeights))
+	}
+}
+
+// TestAdaptiveServeCancelDrainsCleanly cancels a WithAutotune serve from
+// inside its source at a packet that lands in each phase of the loop —
+// the calibration probe, a candidate probe, and the committed round. Serve
+// must return context.Canceled without draining the source, the trace
+// served so far must be a prefix of the sequential oracle, and every
+// goroutine the loop started must be gone.
+func TestAdaptiveServeCancelDrainsCleanly(t *testing.T) {
+	prog := repro.MustCompile(adaptSrc)
+	// Round 1 serves [0, probe); TopK 2 plus one exploration pick probe
+	// [probe, 4·probe); the committed round serves the rest.
+	const probe, n = 200, 1500
+	packets := testPackets(n)
+	seq := seqTrace(t, prog, packets, n)
+	for _, tc := range []struct {
+		phase     string
+		cancelAt  int
+		committed bool
+	}{
+		{"calibration probe", probe / 2, false},
+		{"candidate probe", probe + probe/2, false},
+		{"committed round", 6 * probe, true},
+	} {
+		t.Run(tc.phase, func(t *testing.T) {
+			pipe, err := repro.Partition(prog, repro.WithStages(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := gort.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			next := 0
+			src := repro.SourceFunc(func() ([]byte, bool) {
+				if next == tc.cancelAt {
+					cancel()
+				}
+				if next == n {
+					return nil, false
+				}
+				next++
+				return packets[next-1], true
+			})
+			world := repro.NewWorld(nil)
+			_, err = pipe.Serve(ctx, src, repro.WithWorld(world),
+				repro.WithAutotune(repro.Autotune{ProbePackets: probe, TopK: 2, MaxDegree: 4, Batches: []int{1, 8}, Shards: []int{1, 2}}))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if next >= n {
+				t.Fatalf("source drained (%d packets) despite the cancel at %d", next, tc.cancelAt)
+			}
+			// World.Trace holds every round that completed; the canceled
+			// round publishes nothing, so the calibration case serves an
+			// empty prefix.
+			if got := len(world.Trace); got >= len(seq) || (got == 0) != (tc.cancelAt < probe) {
+				t.Fatalf("served %d of %d oracle events after a cancel at %d", got, len(seq), tc.cancelAt)
+			}
+			if diff := repro.TraceEqual(seq[:len(world.Trace)], world.Trace); diff != "" {
+				t.Fatalf("served trace is not a prefix of the oracle: %s", diff)
+			}
+			static := strings.HasPrefix(pipe.Plan().Why, "static cut")
+			if static == tc.committed {
+				t.Fatalf("plan %q: cancel at %d did not land in the %s", pipe.Plan().Why, tc.cancelAt, tc.phase)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for gort.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if g := gort.NumGoroutine(); g > before {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("goroutine leak: %d > %d\n%s", g, before, buf[:gort.Stack(buf, true)])
+			}
+		})
 	}
 }

@@ -334,18 +334,6 @@ func BenchmarkServeIPv4D4(b *testing.B) { benchmarkServe(b, 4, 1, repro.BackendC
 // synchronization over 32 iterations per ring entry.
 func BenchmarkServeIPv4D4Batch32(b *testing.B) { benchmarkServe(b, 4, 32, repro.BackendCompiled) }
 
-// BenchmarkServeIPv4D4Fused and BenchmarkServeIPv4D4Unfused are the
-// fusion-comparison pair at the perf-gate shape (D=4, batch 32): Fused
-// lets the valuator realize ring-unworthy cuts as fused units
-// (FusionAuto, the serve default); Unfused pins every cut to a
-// ring. On hosts where the valuator fuses (few cores, or stage work far
-// below the ring tax), Fused measures the zero-copy handoff path.
-func BenchmarkServeIPv4D4Fused(b *testing.B) { benchmarkServe(b, 4, 32, repro.BackendCompiled) }
-
-func BenchmarkServeIPv4D4Unfused(b *testing.B) {
-	benchmarkServe(b, 4, 32, repro.BackendCompiled, repro.WithFusion(repro.FusionOff))
-}
-
 // BenchmarkServeIPv4D1Batch32Compiled and its Interp twin are the
 // backend-comparison pair: one stage, batch 32, so ring synchronization is
 // amortized and the measurement isolates the stage-execution substrate

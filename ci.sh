@@ -37,6 +37,14 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
+echo "== flake gate: timing-sensitive tests repeated"
+# Tests that once failed a few runs in a hundred, repeated so a
+# reintroduced timing dependence fails here rather than at random: the
+# degrade chaos schedule (delivery-gated after its one saturation), the
+# adaptive loop's calibration fit (R² > 0), and the static fusion verdicts.
+go test -race -count=20 -run '^TestChaosDegradeShortCircuits$' ./internal/runtime
+go test -count=50 -run '^(TestAdaptiveServeTraceIdentity|TestPlanFusionGolden)$' .
+
 echo "== ring gate: oracle matrix + wait accounting under -race -count=2"
 # The inter-stage rings (buffered channels): the oracle matrix serves every
 # benchmark pipeline ringed and fused at P in {1, 4} and demands

@@ -2,39 +2,17 @@ package repro_test
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"repro"
 )
 
-// TestWithFusionValidates: an unknown fusion mode fails fast with the
-// typed sentinel, from Partition and from the per-call Serve layer alike.
-func TestWithFusionValidates(t *testing.T) {
-	prog, err := repro.Compile(facadeSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repro.Partition(prog, repro.WithFusion(repro.FusionMode(9))); !errors.Is(err, repro.ErrBadFusion) {
-		t.Errorf("Partition err = %v, want ErrBadFusion", err)
-	}
-	pipe, err := repro.Partition(prog, repro.WithStages(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.Serve(context.Background(), repro.PacketSource(testPackets(4)),
-		repro.WithFusion(repro.FusionMode(-1))); !errors.Is(err, repro.ErrBadFusion) {
-		t.Errorf("Serve err = %v, want ErrBadFusion", err)
-	}
-}
-
-// TestServeFusionOffMatchesAuto: the fused realization (FusionAuto on a
-// pinned single-core budget fuses every cut) and the fully ringed one
-// (FusionOff) must both serve a trace byte-identical to the sequential
-// oracle, and the published Plan must tell them apart.
+// TestServeFusionOffMatchesAuto: the fused realization (one pinned core,
+// where the valuator fuses every cut) and the fully ringed one — fusion
+// off, as the valuator decides on eight pinned cores at batch 32, where
+// every ring buys overlap — must both serve a trace byte-identical to the
+// sequential oracle, and the published Plan must tell them apart.
 func TestServeFusionOffMatchesAuto(t *testing.T) {
-	restore := repro.SetFusionCoresForTest(1)
-	defer restore()
 	prog, err := repro.Compile(facadeSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -48,14 +26,17 @@ func TestServeFusionOffMatchesAuto(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name      string
-		opts      []repro.Option
+		cores     int
+		batch     int
 		wantFused int
 	}{
-		{"auto", nil, 2},
-		{"off", []repro.Option{repro.WithFusion(repro.FusionOff)}, 0},
+		{"auto", 1, 1, 2},
+		{"off", 8, 32, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), tc.opts...)
+			restore := repro.SetFusionCoresForTest(tc.cores)
+			defer restore()
+			m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), repro.WithBatch(tc.batch))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,8 +47,8 @@ func TestServeFusionOffMatchesAuto(t *testing.T) {
 			if len(plan.FusedCuts) != tc.wantFused {
 				t.Errorf("Plan.FusedCuts = %v, want %d fused cuts", plan.FusedCuts, tc.wantFused)
 			}
-			if tc.wantFused > 0 && len(plan.FusionWhy) == 0 {
-				t.Error("fused plan carries no rationale")
+			if len(plan.FusionWhy) != plan.Degree-1 {
+				t.Errorf("Plan.FusionWhy has %d verdicts for %d cuts: %v", len(plan.FusionWhy), plan.Degree-1, plan.FusionWhy)
 			}
 		})
 	}

@@ -16,9 +16,9 @@ package costmodel
 // per stage (D ≤ 8 in practice) — far too few to fit 18 per-intrinsic
 // costs — so instructions are grouped into OpClass buckets whose host
 // costs plausibly scale together (ALU, local memory, shared memory, packet
-// IO, table lookup, queue ops, pure helpers, live-set transmission), and a
-// ridge regression with the static table as the prior fits one
-// nanosecond-per-weight-unit coefficient per class:
+// receive, packet IO, table lookup, queue ops, pure helpers, live-set
+// transmission), and a ridge regression with the static table as the
+// prior fits one nanosecond-per-weight-unit coefficient per class:
 //
 //	minimize  Σ_s (ns_s − Σ_c θ_c·X_sc)²  +  Σ_c λ_c·(θ_c − θ₀)²
 //
@@ -59,7 +59,13 @@ const (
 	ClassLocalMem
 	// ClassSharedMem: loads/stores to persistent (SRAM-resident) arrays.
 	ClassSharedMem
-	// ClassPktIO: packet buffer and metadata intrinsics (pkt_*, meta_*).
+	// ClassRx: packet receive (pkt_rx) — an allocation and a copy of the
+	// packet into the iteration, in the head stage only. Lumped with the
+	// cheap header reads of ClassPktIO, no nonnegative per-class fit
+	// explains the head stage.
+	ClassRx
+	// ClassPktIO: packet buffer and metadata intrinsics (pkt_*, meta_*)
+	// other than pkt_rx.
 	ClassPktIO
 	// ClassLookup: route-table lookups (rt_lookup, rt6_lookup).
 	ClassLookup
@@ -82,6 +88,8 @@ func (c OpClass) String() string {
 		return "localmem"
 	case ClassSharedMem:
 		return "sharedmem"
+	case ClassRx:
+		return "rx"
 	case ClassPktIO:
 		return "pktio"
 	case ClassLookup:
@@ -99,6 +107,8 @@ func (c OpClass) String() string {
 // classOfCall maps an intrinsic name to its calibration class.
 func classOfCall(name string) OpClass {
 	switch {
+	case name == "pkt_rx":
+		return ClassRx
 	case strings.HasPrefix(name, "pkt_"), strings.HasPrefix(name, "meta_"):
 		return ClassPktIO
 	case strings.HasPrefix(name, "rt"):
@@ -242,10 +252,13 @@ func (c *Calibration) String() string {
 }
 
 // ridge is the relative regularization strength pulling fitted class costs
-// toward the prior; floorRidge keeps unobserved classes pinned exactly.
+// toward the prior; floorRidge keeps unobserved classes pinned exactly;
+// pinFrac is the share of the prior a class that fits negative is pinned
+// at.
 const (
 	ridge      = 0.002
 	floorRidge = 1e-9
+	pinFrac    = 0.01
 )
 
 // Calibrate fits per-class nanosecond costs to the measured samples and
@@ -309,23 +322,30 @@ func Calibrate(base *Arch, samples []Sample) (*Calibration, error) {
 			xtx[i][j] = xtx[j][i] // mirror for the solver
 		}
 	}
-	// A negative fitted cost is an artifact of collinear columns: pin that
-	// class at the prior and re-solve for the others, so they absorb what
-	// it no longer explains. Each pass pins at least one more class or
-	// ends, so this takes at most NumClasses re-solves.
+	// A class that fits negative costs less than the other classes
+	// explain — a datasheet weight far above its host cost (rt_lookup is
+	// an SRAM round trip on the IXP, an array index on the host), or
+	// collinear columns. Pin it at a small positive cost, the nearest
+	// admissible value, and re-solve for the others, so they absorb what
+	// it no longer explains. (Pinning at the prior instead forces a
+	// heavily weighted cheap class to its full prior cost, and the fit can
+	// then explain its stage worse than the mean does.) Each pass pins at
+	// least one more class or ends, so this takes at most NumClasses
+	// re-solves.
+	pin := pinFrac * prior
 	var theta [NumClasses]float64
 	var pinned [NumClasses]bool
 	for {
 		a, b := xtx, xty
-		for i, pin := range pinned {
-			if !pin {
+		for i, p := range pinned {
+			if !p {
 				continue
 			}
 			for j := range b {
-				b[j] -= a[j][i] * prior
+				b[j] -= a[j][i] * pin
 				a[j][i], a[i][j] = 0, 0
 			}
-			a[i][i], b[i] = 1, prior
+			a[i][i], b[i] = 1, pin
 		}
 		var ok bool
 		if theta, ok = solveSym(a, b); !ok {

@@ -145,8 +145,8 @@ func TestCalibrateNoisy(t *testing.T) {
 // TestCalibrateRefitsAfterPinningNegativeClass: with fewer stage equations
 // than observed classes, a class can fit negative (stage 3 carries more ALU
 // and localmem weight than stage 1 yet runs faster, because stage 1's
-// pkt_rx also pays the per-packet copy). Pinning such a class at the prior
-// must re-fit the other classes around it, not leave them fitted for its
+// pkt_rx also pays the per-packet copy). Pinning such a class must re-fit
+// the other classes around it, not leave them fitted for its
 // negative cost: the fit must still beat the mean. The samples are a
 // 3-stage probe of the adaptive test program at D=3.
 func TestCalibrateRefitsAfterPinningNegativeClass(t *testing.T) {
@@ -161,6 +161,32 @@ func TestCalibrateRefitsAfterPinningNegativeClass(t *testing.T) {
 	}
 	if cal.R2 <= 0 {
 		t.Errorf("R² = %.3f: the fit is worse than the mean\n%s", cal.R2, cal)
+	}
+	for _, cf := range cal.Classes {
+		if cf.FittedNs <= 0 {
+			t.Errorf("class %v fitted to %.3f ns, want positive", cf.Class, cf.FittedNs)
+		}
+	}
+}
+
+// TestCalibrateCheapHeavyClassFits: a class with a large static weight
+// that costs almost nothing on the host (stage 2's rt_lookup, weight 40,
+// measured on a loaded host) fits negative. Pinned at its full prior cost
+// it would predict stage 2 at several times its measured time, a fit
+// worse than the mean (R² ≈ −0.05 on these samples); pinned near zero,
+// the shared ALU and tx classes explain stage 2 and the fit holds.
+func TestCalibrateCheapHeavyClassFits(t *testing.T) {
+	samples := []Sample{
+		{Counts: OpCounts{ClassALU: 16, ClassRx: 12, ClassPktIO: 3, ClassPure: 6, ClassTx: 5}, NsPerIter: 1072.1, Iters: 500},
+		{Counts: OpCounts{ClassALU: 6, ClassLookup: 40, ClassTx: 10}, NsPerIter: 259.9, Iters: 500},
+		{Counts: OpCounts{ClassALU: 18, ClassLocalMem: 6, ClassPktIO: 11, ClassPure: 5, ClassTx: 5}, NsPerIter: 1097.7, Iters: 500},
+	}
+	cal, err := Calibrate(Default(), samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal.R2 <= 0.5 {
+		t.Errorf("R² = %.3f: the fit does not explain the stages\n%s", cal.R2, cal)
 	}
 	for _, cf := range cal.Classes {
 		if cf.FittedNs <= 0 {

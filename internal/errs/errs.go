@@ -134,10 +134,6 @@ var (
 	// malformed (a non-positive probe window or candidate count).
 	ErrBadAutotune = errors.New("bad autotune configuration")
 
-	// ErrBadFusion is returned when a stage-fusion mode selector is
-	// unknown.
-	ErrBadFusion = errors.New("bad fusion mode")
-
 	// ErrBadSource is returned when an ingest source spec is malformed
 	// (unknown scheme, bad address or parameter) or a pcap file cannot be
 	// parsed (bad magic, truncated global header).

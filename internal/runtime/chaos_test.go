@@ -368,21 +368,29 @@ func TestChaosSaturatedRingSheds(t *testing.T) {
 
 // TestChaosDegradeShortCircuits: same saturation shape under the degrade
 // policy — the blocked packet is delivered with only stages 1..2 executed,
-// and nothing is lost.
+// and nothing is lost. Iterations after the saturated three are admitted
+// one at a time, each only once every earlier packet is delivered: they
+// meet empty rings, so no scheduling delay — not even the last stage's
+// cold first retire, which lands while the released backlog drains — can
+// saturate a second ring.
 func TestChaosDegradeShortCircuits(t *testing.T) {
 	const n = 8
 	_, stages := partitionIPv4(t, 4)
 	traffic := ipv4Traffic(n)
 	segs := stageSegments(t, stages, traffic)
+	injs := []fault.Injection{
+		{Kind: fault.Stall, Stage: 1, Every: 1, Sleep: 2 * time.Millisecond},
+		{Kind: fault.Stall, Stage: 3, At: 0, UntilOverload: 1},
+	}
+	for i := int64(3); i < n; i++ {
+		injs = append(injs, fault.Injection{Kind: fault.Stall, Stage: 1, At: i, UntilDelivered: i})
+	}
 	cfg := runtime.Config{
 		RingCapacity: 1,
 		Batch:        1,
 		Overload:     runtime.OverloadDegrade,
 		Watermark:    2,
-		Faults: &fault.Plan{Injections: []fault.Injection{
-			{Kind: fault.Stall, Stage: 1, Every: 1, Sleep: 2 * time.Millisecond},
-			{Kind: fault.Stall, Stage: 3, At: 0, UntilOverload: 1},
-		}},
+		Faults:       &fault.Plan{Injections: injs},
 	}
 	m := chaosServe(t, stages, traffic, cfg)
 	rep := m.Faults

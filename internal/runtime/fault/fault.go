@@ -10,12 +10,15 @@
 //
 // Determinism discipline: each injection belongs to exactly one stage, and
 // every hook for a stage is called only from that stage's goroutine, so
-// firing counters need no locks. The one cross-goroutine signal — a stall
-// that holds a stage until the pipeline has shed or degraded a target
-// number of packets — reads an atomic counter that any stage may bump.
-// That gate is what lets the chaos tests saturate a ring and assert exact
-// shed counts: the consumer provably consumes nothing until the producer
-// has finished shedding.
+// firing counters need no locks. The cross-goroutine signals are two
+// gates — a stall that holds a stage until the pipeline has shed or
+// degraded a target number of packets, and one that holds it until the
+// sink has delivered a target number — each reading an atomic counter
+// that any stage may bump. The overload gate is what lets the chaos tests
+// saturate a ring and assert exact shed counts: the consumer provably
+// consumes nothing until the producer has finished shedding. The delivery
+// gate admits a packet only once the pipeline has drained, so it meets
+// empty rings and no timing can saturate one.
 package fault
 
 import (
@@ -34,7 +37,8 @@ type Kind uint8
 const (
 	// Stall holds the stage before executing the matched iteration: for
 	// Sleep, for UntilOverload (a gate on the pipeline's shed+degraded
-	// count), or both.
+	// count), for UntilDelivered (a gate on the sink's delivered count),
+	// or any combination.
 	Stall Kind = iota
 	// Delay holds the stage's ring put (after executing, before
 	// forwarding) for Sleep.
@@ -85,6 +89,10 @@ type Injection struct {
 	// overload count (packets shed + degraded) reaches this value. The
 	// wait aborts on context cancellation.
 	UntilOverload int64
+	// UntilDelivered, for Stall, holds the stage until the pipeline has
+	// delivered (retired at the sink) this many packets. The wait aborts
+	// on context cancellation.
+	UntilDelivered int64
 }
 
 // Plan is a deterministic fault schedule.
@@ -104,7 +112,7 @@ func (p *Plan) Validate(stages int) error {
 		if in.Kind != Poison && (in.Stage < 1 || in.Stage > stages) {
 			return fmt.Errorf("%w: injection %d: stage %d outside 1..%d", errs.ErrBadFaultPlan, i, in.Stage, stages)
 		}
-		if in.At < 0 || in.Every < 0 || in.Count < 0 || in.Sleep < 0 || in.UntilOverload < 0 {
+		if in.At < 0 || in.Every < 0 || in.Count < 0 || in.Sleep < 0 || in.UntilOverload < 0 || in.UntilDelivered < 0 {
 			return fmt.Errorf("%w: injection %d: negative trigger", errs.ErrBadFaultPlan, i)
 		}
 	}
@@ -214,7 +222,8 @@ type Injector struct {
 	source   []*state   // Poison injections
 	perStage [][]*state // 1-based stage -> its injections
 
-	overload *atomic.Int64 // packets shed + degraded, pipeline-wide
+	overload  *atomic.Int64 // packets shed + degraded, pipeline-wide
+	delivered *atomic.Int64 // packets retired at the sink, pipeline-wide
 }
 
 // NewInjector binds a validated plan to a pipeline of the given degree.
@@ -223,7 +232,8 @@ func NewInjector(p *Plan, stages int) *Injector {
 	if p == nil || len(p.Injections) == 0 {
 		return nil
 	}
-	inj := &Injector{perStage: make([][]*state, stages+1), overload: new(atomic.Int64)}
+	inj := &Injector{perStage: make([][]*state, stages+1),
+		overload: new(atomic.Int64), delivered: new(atomic.Int64)}
 	for _, in := range p.Injections {
 		s := &state{inj: in}
 		if in.Kind == Poison {
@@ -236,7 +246,7 @@ func NewInjector(p *Plan, stages int) *Injector {
 }
 
 // Lane returns an injector view with independent firing counters but the
-// same overload gate. The sharded runtime hands one lane to each replica
+// same overload and delivery gates. The sharded runtime hands one lane to each replica
 // of a replicated stage, preserving the single-goroutine ownership of the
 // firing counters: a budgeted trigger then counts firings per lane, and —
 // because packets are dispatched to lanes by a deterministic flow hash —
@@ -246,7 +256,8 @@ func (inj *Injector) Lane() *Injector {
 	if inj == nil {
 		return nil
 	}
-	l := &Injector{perStage: make([][]*state, len(inj.perStage)), overload: inj.overload}
+	l := &Injector{perStage: make([][]*state, len(inj.perStage)),
+		overload: inj.overload, delivered: inj.delivered}
 	for k, states := range inj.perStage {
 		for _, s := range states {
 			l.perStage[k] = append(l.perStage[k], &state{inj: s.inj})
@@ -280,7 +291,7 @@ func (inj *Injector) AtSource(iter int64, pkt []byte) ([]byte, bool) {
 }
 
 // BeforeStage runs the stage-side faults for one iteration, in plan order:
-// stalls sleep (and wait out overload gates), panics panic, transients
+// stalls sleep (and wait out overload and delivery gates), panics panic, transients
 // return errs.ErrTransientFault. Called before the stage body, so a
 // quarantined iteration has not touched persistent state.
 func (inj *Injector) BeforeStage(ctx context.Context, stage int, iter int64) error {
@@ -295,7 +306,10 @@ func (inj *Injector) BeforeStage(ctx context.Context, stage int, iter int64) err
 					sleepCtx(ctx, s.inj.Sleep)
 				}
 				if n := s.inj.UntilOverload; n > 0 {
-					inj.waitOverload(ctx, n)
+					waitCount(ctx, inj.overload, n)
+				}
+				if n := s.inj.UntilDelivered; n > 0 {
+					waitCount(ctx, inj.delivered, n)
 				}
 			}
 		case Panic:
@@ -333,11 +347,20 @@ func (inj *Injector) NoteOverload(n int64) {
 	inj.overload.Add(n)
 }
 
-// waitOverload blocks until the pipeline-wide overload count reaches n or
-// ctx is canceled. Polling keeps the gate free of cross-goroutine wakeup
-// state; gates are a test-harness construct, not a hot path.
-func (inj *Injector) waitOverload(ctx context.Context, n int64) {
-	for inj.overload.Load() < n {
+// NoteDelivered records packets retired at the sink and releases any gate
+// waiting on the new total.
+func (inj *Injector) NoteDelivered(n int64) {
+	if inj == nil {
+		return
+	}
+	inj.delivered.Add(n)
+}
+
+// waitCount blocks until the pipeline-wide counter c reaches n or ctx is
+// canceled. Polling keeps the gates free of cross-goroutine wakeup state;
+// gates are a test-harness construct, not a hot path.
+func waitCount(ctx context.Context, c *atomic.Int64, n int64) {
+	for c.Load() < n {
 		select {
 		case <-ctx.Done():
 			return

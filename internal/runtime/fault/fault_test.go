@@ -27,6 +27,7 @@ func TestValidateRejects(t *testing.T) {
 		{"negative count", Injection{Kind: Transient, Stage: 1, Count: -1}},
 		{"negative sleep", Injection{Kind: Stall, Stage: 1, Sleep: -time.Millisecond}},
 		{"negative overload gate", Injection{Kind: Stall, Stage: 1, UntilOverload: -1}},
+		{"negative delivery gate", Injection{Kind: Stall, Stage: 1, UntilDelivered: -1}},
 	}
 	for _, tc := range bad {
 		p := &Plan{Injections: []Injection{{Kind: Stall, Stage: 1}, tc.in}}
@@ -176,6 +177,7 @@ func TestInjectorNilAndEmpty(t *testing.T) {
 	}
 	inj.BeforeSend(context.Background(), 1, 0)
 	inj.NoteOverload(3)
+	inj.NoteDelivered(3)
 	if inj.Lane() != nil {
 		t.Error("nil injector's lane must be nil")
 	}
@@ -183,7 +185,7 @@ func TestInjectorNilAndEmpty(t *testing.T) {
 
 // TestLaneAgreesWithParent checks a Lane view makes the same decisions as
 // its parent over the same iterations, keeps its own firing counters,
-// and shares the parent's overload gate.
+// and shares the parent's overload and delivery gates.
 func TestLaneAgreesWithParent(t *testing.T) {
 	plan := &Plan{Injections: []Injection{
 		{Kind: Panic, Stage: 1, Every: 4, Count: 2},
@@ -210,26 +212,35 @@ func TestLaneAgreesWithParent(t *testing.T) {
 		}
 	}
 
-	// The overload gate is shared: a stall gated on lane-side overload is
-	// released by the parent's note, and vice versa.
-	gated := NewInjector(&Plan{Injections: []Injection{{Kind: Stall, Stage: 1, At: 0, UntilOverload: 2}}}, 1)
-	gatedLane := gated.Lane()
-	done := make(chan struct{})
-	go func() {
-		_ = gatedLane.BeforeStage(context.Background(), 1, 0)
-		close(done)
-	}()
-	gated.NoteOverload(1)
-	select {
-	case <-done:
-		t.Fatal("stall released below its overload gate")
-	case <-time.After(5 * time.Millisecond):
-	}
-	gated.NoteOverload(1)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("stall not released once the shared overload count reached its gate")
+	// The gates are shared: a stall gated on a lane-side count is
+	// released by the parent's note.
+	for _, g := range []struct {
+		name string
+		in   Injection
+		note func(*Injector, int64)
+	}{
+		{"overload", Injection{Kind: Stall, Stage: 1, At: 0, UntilOverload: 2}, (*Injector).NoteOverload},
+		{"delivery", Injection{Kind: Stall, Stage: 1, At: 0, UntilDelivered: 2}, (*Injector).NoteDelivered},
+	} {
+		gated := NewInjector(&Plan{Injections: []Injection{g.in}}, 1)
+		gatedLane := gated.Lane()
+		done := make(chan struct{})
+		go func() {
+			_ = gatedLane.BeforeStage(context.Background(), 1, 0)
+			close(done)
+		}()
+		g.note(gated, 1)
+		select {
+		case <-done:
+			t.Fatalf("stall released below its %s gate", g.name)
+		case <-time.After(5 * time.Millisecond):
+		}
+		g.note(gated, 1)
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stall not released once the shared %s count reached its gate", g.name)
+		}
 	}
 
 	// Cancellation aborts the wait.

@@ -20,10 +20,10 @@ import (
 	"repro/internal/runtime"
 )
 
-// fuseMask builds a D-1 length fusion request: "none" fuses nothing,
+// fuseShape builds a D-1 length fusion request: "none" fuses nothing,
 // "all" asks for every cut, "odd" every other cut — exercising units of
 // mixed width against lone stages in one pipeline.
-func fuseMask(shape string, d int) []bool {
+func fuseShape(shape string, d int) []bool {
 	m := make([]bool, d-1)
 	for k := range m {
 		switch shape {
@@ -67,7 +67,7 @@ func TestFusionEquivalenceMatrix(t *testing.T) {
 					cfg := runtime.DefaultConfig()
 					cfg.Batch = 4
 					cfg.Shards = shards
-					cfg.FuseCuts = fuseMask(shape, d)
+					cfg.FuseCuts = fuseShape(shape, d)
 					m, err := runtime.Serve(context.Background(), res.Stages, world, runtime.Packets(traffic), cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)

@@ -874,6 +874,7 @@ func (e *engine) retire(b []*token, lc *laneCtx) {
 	}
 	e.live.packets.Add(alive)
 	lc.probe.out.Add(alive)
+	e.inj.NoteDelivered(alive)
 	e.recycleBatch(b)
 }
 

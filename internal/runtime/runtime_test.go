@@ -189,7 +189,7 @@ func TestServeCancelDrainsCleanly(t *testing.T) {
 				cfg.Batch = 8
 				cfg.Shards = r.shards
 				if r.fuse {
-					cfg.FuseCuts = fuseMask("all", len(stages))
+					cfg.FuseCuts = fuseShape("all", len(stages))
 				}
 				m, err := runtime.Serve(ctx, stages, netbench.NewWorld(nil), src, cfg)
 				switch exit {

@@ -85,9 +85,6 @@ var (
 	// search configuration (a negative probe window, candidate count, or
 	// degree cap).
 	ErrBadAutotune = errs.ErrBadAutotune
-	// ErrBadFusion is returned when WithFusion names an unknown fusion
-	// mode.
-	ErrBadFusion = errs.ErrBadFusion
 	// ErrBadSource is returned when OpenSource is given a malformed spec
 	// (unknown scheme, bad address or parameter) or a pcap file that
 	// cannot be parsed.
@@ -182,7 +179,6 @@ type config struct {
 	// adaptation (serve)
 	objective *Objective
 	autotune  *Autotune
-	fusion    FusionMode
 	// ingestion (serve)
 	source ingest.Source
 	// ingestStats is not set by an option: Pipeline.Serve installs it
@@ -220,7 +216,6 @@ const (
 	optShardKey
 	optObjective
 	optAutotune
-	optFusion
 	optSource
 	numOpts
 )
@@ -231,8 +226,7 @@ var optName = [numOpts]string{
 	"WithArrivalInterval", "WithIterations", "WithBatch", "WithWorld",
 	"WithOverload", "WithWatermark", "WithDeadline", "WithRetry",
 	"WithFaults", "WithObserver", "WithBackend", "WithShards",
-	"WithShardKey", "WithObjective", "WithAutotune", "WithFusion",
-	"WithSource",
+	"WithShardKey", "WithObjective", "WithAutotune", "WithSource",
 }
 
 // scope is the set of options one entry point accepts.
@@ -258,8 +252,7 @@ var (
 	scopeSim = scopeOf(optArch, optRing, optThreads, optArrival, optIterations)
 	scopeSrv = scopeOf(optRing, optBatch, optWorld, optOverload, optWatermark,
 		optDeadline, optRetry, optFaults, optObserver, optBackend,
-		optShards, optShardKey, optObjective, optAutotune, optFusion,
-		optSource)
+		optShards, optShardKey, optObjective, optAutotune, optSource)
 )
 
 // scopeName labels a scope in option-misuse errors.
@@ -298,7 +291,6 @@ var scopeName = map[scope]string{
 //	WithShardKey                      yes                -       -        yes
 //	WithObjective                     yes                -       -        yes
 //	WithAutotune                      yes                -       -        yes
-//	WithFusion                        yes                -       -        yes
 //	WithSource                        yes                -       -        yes
 //
 // The first column is the defaults-inheritance path: an execution option
@@ -447,34 +439,6 @@ func WithAutotune(t Autotune) Option {
 	return opt(optAutotune, func(c *config) { c.autotune = &t })
 }
 
-// FusionMode selects how Serve realizes pipeline cuts whose inter-stage
-// ring cannot pay for itself; see WithFusion.
-type FusionMode int
-
-const (
-	// FusionAuto (the default) lets the cost model value each cut: a cut
-	// whose ring synchronization tax exceeds its predicted pipeline-bound
-	// gain is realized by fusing the adjacent stages into one execution
-	// unit — no ring, the live set handed over inside the token — while
-	// cuts that buy real overlap keep their rings. On a single-core host
-	// this typically fuses the whole pipeline; on a wide host with
-	// balanced stages it fuses nothing.
-	FusionAuto FusionMode = iota
-	// FusionOff keeps every cut on a ring regardless of the cost
-	// model's verdict — the pre-fusion realization, retained as the
-	// baseline for A/B measurement.
-	FusionOff
-)
-
-// WithFusion selects the stage-fusion mode of a served pipeline (default
-// FusionAuto). Fusion is a realization choice, not a semantic one: the
-// served trace, the per-stage counters, and the fault ledger are
-// byte-identical in every mode, and Pipeline.Plan() states which cuts
-// were fused and why. A scatter or fan-in junction (sharded serving)
-// always keeps its ring machinery — fusion applies only to cuts whose
-// two sides run at the same replica width.
-func WithFusion(m FusionMode) Option { return opt(optFusion, func(c *config) { c.fusion = m }) }
-
 // WithSource feeds a served pipeline from a network-facing batch source
 // (BatchSource — a UDP or TCP listener, a pcap replay, or the synthetic
 // traffic generator; see OpenSource). The pipeline pulls batches from it
@@ -565,9 +529,6 @@ func (c *config) validate() error {
 	}
 	if err := c.autotune.validate(); err != nil {
 		return err
-	}
-	if c.fusion < FusionAuto || c.fusion > FusionOff {
-		return fmt.Errorf("repro: %w: %d", ErrBadFusion, int(c.fusion))
 	}
 	return nil
 }

@@ -35,7 +35,8 @@ type Pipeline struct {
 // calibrated weights.
 func newPipeline(res *core.Result, cfg config, an *core.Analysis) *Pipeline {
 	p := &Pipeline{stages: res.Stages, report: res.Report, cfg: cfg, analysis: an}
-	p.plan.Store(staticPlan(res.Stages, res.Report, cfg))
+	plan, _ := staticPlan(res.Stages, res.Report, cfg)
+	p.plan.Store(plan)
 	return p
 }
 
@@ -225,10 +226,9 @@ func (p *Pipeline) serveWith(ctx context.Context, src Source, cfg config) (*Metr
 	rc := cfg.serveConfig()
 	// Static path: value every cut under the serve-time shape and realize
 	// the verdict — cuts whose ring tax exceeds their pipeline gain run
-	// fused (WithFusion(FusionOff) pins every ring). The refreshed plan
-	// records which cuts fused and why.
-	plan := staticPlan(p.stages, p.report, cfg)
-	rc.FuseCuts = fuseMask(plan.FusedCuts, len(p.stages))
+	// fused. The refreshed plan records which cuts fused and why.
+	plan, fuse := staticPlan(p.stages, p.report, cfg)
+	rc.FuseCuts = fuse
 	p.plan.Store(plan)
 	return runtime.Serve(ctx, p.stages, world, src, rc)
 }
